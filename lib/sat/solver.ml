@@ -1,11 +1,14 @@
 (* CDCL SAT solver (MiniSat lineage).
 
-   Clauses are int arrays of literals with the invariant that the two
-   watched literals sit at positions 0 and 1.  [watches.(l)] lists the
-   clauses currently watching literal [l]; a clause is visited when one of
-   its watched literals becomes false. *)
-
-type clause = int array
+   Every clause lives in one growable int array, the arena: a clause at
+   offset [c] is its size [arena.(c)] followed by its literals at
+   [c + 1 .. c + size].  The two watched literals sit in the first two
+   slots.  Watch lists, the clause vectors and the per-variable reasons
+   hold arena offsets, with -1 for "none", so the hot loops read and
+   write plain ints: no pointer stores and no allocation per
+   propagation.  [watches.(l)] lists the clauses currently watching
+   literal [l]; a clause is visited when one of its watched literals
+   becomes false. *)
 
 type result = Sat | Unsat
 
@@ -15,45 +18,49 @@ type budget = { max_conflicts : int option; max_seconds : float option }
 
 let no_budget = { max_conflicts = None; max_seconds = None }
 
-(* Growable int/clause vectors: the solver's hot loops need in-place
-   push/pop without list allocation. *)
+(* Growable int vectors: the solver's hot loops need in-place push/pop
+   without list allocation. *)
 module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
+  type t = { mutable data : int array; mutable len : int }
 
-  let create dummy = { data = Array.make 16 dummy; len = 0; dummy }
+  let create () = { data = Array.make 16 0; len = 0 }
 
-  let push v x =
-    if v.len = Array.length v.data then begin
-      let data = Array.make (2 * v.len) v.dummy in
-      Array.blit v.data 0 data 0 v.len;
-      v.data <- data
-    end;
+  let grow v =
+    let data = Array.make (2 * v.len) 0 in
+    Array.blit v.data 0 data 0 v.len;
+    v.data <- data
+
+  let[@inline] push v x =
+    if v.len = Array.length v.data then grow v;
     v.data.(v.len) <- x;
     v.len <- v.len + 1
 
-  let get v i = v.data.(i)
-  let set v i x = v.data.(i) <- x
-  let size v = v.len
-  let shrink v n = v.len <- n
+  let[@inline] get v i = v.data.(i)
+  let[@inline] set v i x = v.data.(i) <- x
+  let[@inline] size v = v.len
+  let[@inline] shrink v n = v.len <- n
 end
 
 type t = {
+  (* Per-literal state. *)
+  mutable vals : int array; (* -1 unassigned / 0 false / 1 true *)
   (* Per-variable state. *)
-  mutable assign : int array;   (* -1 unassigned / 0 false / 1 true *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;   (* arena offset of the implying clause, or -1 *)
   mutable activity : float array;
   mutable phase : bool array;   (* saved polarity for decisions *)
   mutable heap_pos : int array; (* position in [heap], or -1 *)
-  heap : int Vec.t;             (* binary max-heap of variables by activity *)
+  heap : Vec.t;                 (* binary max-heap of variables by activity *)
   mutable nvars : int;
   (* Clause database. *)
-  clauses : clause Vec.t;
-  learnts : clause Vec.t;
-  mutable watches : clause Vec.t array; (* indexed by literal *)
+  mutable arena : int array;
+  mutable arena_len : int;
+  clauses : Vec.t;              (* offsets of problem clauses *)
+  learnts : Vec.t;              (* offsets of learnt clauses *)
+  mutable watches : Vec.t array; (* indexed by literal *)
   (* Trail. *)
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  trail : Vec.t;
+  trail_lim : Vec.t;
   mutable qhead : int;
   (* Activity bookkeeping. *)
   mutable var_inc : float;
@@ -69,25 +76,29 @@ type t = {
   (* Learnt-DB reduction. *)
   mutable learnt_limit : int; (* reduce when learnts exceed this; grows *)
   mutable learnts_removed : int;
-  (* Scratch for conflict analysis. *)
+  (* Scratch, per solver: solvers run on several domains at once. *)
   mutable seen : bool array;
+  analyze_stack : Vec.t; (* lower-level literals of a conflict, in order *)
+  lits : Vec.t;          (* the clause being learnt or added *)
 }
 
 let create () =
   {
-    assign = Array.make 16 (-1);
+    vals = Array.make 32 (-1);
     level = Array.make 16 0;
-    reason = Array.make 16 None;
+    reason = Array.make 16 (-1);
     activity = Array.make 16 0.0;
     phase = Array.make 16 false;
     heap_pos = Array.make 16 (-1);
-    heap = Vec.create 0;
+    heap = Vec.create ();
     nvars = 0;
-    clauses = Vec.create [||];
-    learnts = Vec.create [||];
-    watches = Array.init 32 (fun _ -> Vec.create [||]);
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    arena = Array.make 1024 0;
+    arena_len = 0;
+    clauses = Vec.create ();
+    learnts = Vec.create ();
+    watches = Array.init 32 (fun _ -> Vec.create ());
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
     qhead = 0;
     var_inc = 1.0;
     unsat = false;
@@ -100,6 +111,8 @@ let create () =
     learnt_limit = 8192;
     learnts_removed = 0;
     seen = Array.make 16 false;
+    analyze_stack = Vec.create ();
+    lits = Vec.create ();
   }
 
 let nvars s = s.nvars
@@ -169,25 +182,25 @@ let heap_decrease s v = if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 (* --- variables ------------------------------------------------------ *)
 
 let grow_arrays s =
-  let n = Array.length s.assign in
+  let n = Array.length s.level in
   let grow a dummy =
-    let b = Array.make (2 * n) dummy in
-    Array.blit a 0 b 0 n;
+    let b = Array.make (2 * Array.length a) dummy in
+    Array.blit a 0 b 0 (Array.length a);
     b
   in
-  s.assign <- grow s.assign (-1);
+  s.vals <- grow s.vals (-1);
   s.level <- grow s.level 0;
-  s.reason <- grow s.reason None;
+  s.reason <- grow s.reason (-1);
   s.activity <- grow s.activity 0.0;
   s.phase <- grow s.phase false;
   s.heap_pos <- grow s.heap_pos (-1);
   s.seen <- grow s.seen false;
-  let w = Array.init (4 * n) (fun _ -> Vec.create [||]) in
+  let w = Array.init (4 * n) (fun _ -> Vec.create ()) in
   Array.blit s.watches 0 w 0 (2 * n);
   s.watches <- w
 
 let new_var s =
-  if s.nvars = Array.length s.assign then grow_arrays s;
+  if s.nvars = Array.length s.level then grow_arrays s;
   let v = s.nvars in
   s.nvars <- s.nvars + 1;
   heap_insert s v;
@@ -195,92 +208,115 @@ let new_var s =
 
 (* --- assignment ----------------------------------------------------- *)
 
-let lit_value s l =
-  (* -1 unassigned, 0 false, 1 true *)
-  let a = s.assign.(Lit.var l) in
-  if a < 0 then -1 else if Lit.is_pos l then a else 1 - a
+(* -1 unassigned, 0 false, 1 true *)
+let[@inline] lit_value s l = s.vals.(l)
 
-let decision_level s = Vec.size s.trail_lim
+let[@inline] decision_level s = Vec.size s.trail_lim
 
-let enqueue s l reason =
+let[@inline] enqueue s l reason =
   let v = Lit.var l in
-  s.assign.(v) <- (if Lit.is_pos l then 1 else 0);
+  s.vals.(l) <- 1;
+  s.vals.(Lit.negate l) <- 0;
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   Vec.push s.trail l
 
+(* --- clause arena --------------------------------------------------- *)
+
+(* Append the clause [src.(pos .. pos+n-1)] to the arena; return its
+   offset. *)
+let alloc_clause s src pos n =
+  let need = s.arena_len + 1 + n in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (2 * Array.length s.arena)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_len;
+    s.arena <- a
+  end;
+  let c = s.arena_len in
+  s.arena.(c) <- n;
+  Array.blit src pos s.arena (c + 1) n;
+  s.arena_len <- need;
+  c
+
+let attach_clause s c =
+  Vec.push s.watches.(s.arena.(c + 1)) c;
+  Vec.push s.watches.(s.arena.(c + 2)) c
+
 (* --- propagation ---------------------------------------------------- *)
 
-exception Conflict of clause
-
+(* Returns the offset of a conflicting clause, or -1. *)
 let propagate s =
-  try
-    while s.qhead < Vec.size s.trail do
-      let p = Vec.get s.trail s.qhead in
-      s.qhead <- s.qhead + 1;
-      s.propagations <- s.propagations + 1;
-      (* Literal [np] just became false: visit its watchers. *)
-      let np = Lit.negate p in
-      let ws = s.watches.(np) in
-      let j = ref 0 in
-      (* In-place compaction: clauses that keep watching [np] are copied
-         down to position [j]. *)
-      (try
-         let i = ref 0 in
-         while !i < Vec.size ws do
-           let c = Vec.get ws !i in
-           incr i;
-           (* Ensure the false watch is at position 1. *)
-           if c.(0) = np then begin
-             c.(0) <- c.(1);
-             c.(1) <- np
-           end;
-           if lit_value s c.(0) = 1 then begin
-             (* Clause already satisfied by the other watch. *)
-             Vec.set ws !j c;
-             incr j
-           end
-           else begin
-             (* Look for a new literal to watch. *)
-             let n = Array.length c in
-             let k = ref 2 in
-             while !k < n && lit_value s c.(!k) = 0 do
-               incr k
-             done;
-             if !k < n then begin
-               (* Move the new watch into position 1. *)
-               c.(1) <- c.(!k);
-               c.(!k) <- np;
-               Vec.push s.watches.(c.(1)) c
-               (* and drop c from ws by not copying it down *)
-             end
-             else if lit_value s c.(0) = 0 then begin
-               (* All other literals false and c.(0) false: conflict.
-                  Keep remaining watchers in place before aborting. *)
-               Vec.set ws !j c;
-               incr j;
-               while !i < Vec.size ws do
-                 Vec.set ws !j (Vec.get ws !i);
-                 incr i;
-                 incr j
-               done;
-               Vec.shrink ws !j;
-               s.qhead <- Vec.size s.trail;
-               raise (Conflict c)
-             end
-             else begin
-               (* Unit clause: propagate c.(0). *)
-               Vec.set ws !j c;
-               incr j;
-               enqueue s c.(0) (Some c)
-             end
-           end
-         done;
-         Vec.shrink ws !j
-       with Conflict _ as e -> raise e)
+  let confl = ref (-1) in
+  while !confl < 0 && s.qhead < Vec.size s.trail do
+    let p = Vec.get s.trail s.qhead in
+    s.qhead <- s.qhead + 1;
+    s.propagations <- s.propagations + 1;
+    (* Literal [np] just became false: visit its watchers.  Neither the
+       arena nor [vals] can be reallocated during propagation. *)
+    let np = Lit.negate p in
+    let ws = s.watches.(np) in
+    let wd = ws.data and n = ws.len in
+    let arena = s.arena and vals = s.vals in
+    (* In-place compaction: clauses that keep watching [np] are copied
+       down to position [j]. *)
+    let i = ref 0 and j = ref 0 in
+    while !i < n do
+      let c = wd.(!i) in
+      incr i;
+      (* Ensure the false watch is at position 1. *)
+      let first =
+        let l0 = arena.(c + 1) in
+        if l0 = np then begin
+          let l1 = arena.(c + 2) in
+          arena.(c + 1) <- l1;
+          arena.(c + 2) <- np;
+          l1
+        end
+        else l0
+      in
+      if vals.(first) = 1 then begin
+        (* Clause already satisfied by the other watch. *)
+        wd.(!j) <- c;
+        incr j
+      end
+      else begin
+        (* Look for a new literal to watch. *)
+        let stop = c + 1 + arena.(c) in
+        let k = ref (c + 3) in
+        while !k < stop && vals.(arena.(!k)) = 0 do
+          incr k
+        done;
+        if !k < stop then begin
+          (* Move the new watch into position 1 and drop c from [ws] by
+             not copying it down.  The new watch is not false, so its
+             list is not [ws]. *)
+          let w = arena.(!k) in
+          arena.(c + 2) <- w;
+          arena.(!k) <- np;
+          Vec.push s.watches.(w) c
+        end
+        else begin
+          wd.(!j) <- c;
+          incr j;
+          if vals.(first) = 0 then begin
+            (* All other literals false and the first false too:
+               conflict.  Keep the remaining watchers in place. *)
+            while !i < n do
+              wd.(!j) <- wd.(!i);
+              incr i;
+              incr j
+            done;
+            s.qhead <- Vec.size s.trail;
+            confl := c
+          end
+          else (* Unit clause: propagate the first literal. *)
+            enqueue s first c
+        end
+      end
     done;
-    None
-  with Conflict c -> Some c
+    ws.len <- !j
+  done;
+  !confl
 
 (* --- activity ------------------------------------------------------- *)
 
@@ -305,8 +341,9 @@ let cancel_until s lvl =
       let l = Vec.get s.trail i in
       let v = Lit.var l in
       s.phase.(v) <- Lit.is_pos l;
-      s.assign.(v) <- -1;
-      s.reason.(v) <- None;
+      s.vals.(l) <- -1;
+      s.vals.(Lit.negate l) <- -1;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -316,27 +353,47 @@ let cancel_until s lvl =
 
 (* --- conflict analysis (1-UIP) -------------------------------------- *)
 
+(* A learnt literal [q] is redundant when every other literal of its
+   reason is already in the clause or fixed at level 0. *)
+let redundant s q r =
+  let arena = s.arena in
+  let k = ref (r + 1) and stop = r + 1 + arena.(r) in
+  while
+    !k < stop
+    &&
+    let v = Lit.var arena.(!k) in
+    v = Lit.var q || s.seen.(v) || s.level.(v) = 0
+  do
+    incr k
+  done;
+  !k >= stop
+
+(* Leaves the learnt clause in [s.lits] and returns the backtrack level.
+   The asserting literal comes first, then the other literals in reverse
+   discovery order, with the highest-level one swapped into slot 1. *)
 let analyze s conflict =
-  let learnt = ref [] in
+  let stack = s.analyze_stack in
+  Vec.shrink stack 0;
+  let arena = s.arena in
+  let dl = decision_level s in
   let path = ref 0 in
   let p = ref (-1) in
   let idx = ref (Vec.size s.trail - 1) in
   let c = ref conflict in
   let continue = ref true in
   while !continue do
-    Array.iter
-      (fun q ->
-        (* Skip the asserting literal itself on non-first iterations. *)
-        if q <> !p then begin
-          let v = Lit.var q in
-          if (not s.seen.(v)) && s.level.(v) > 0 then begin
-            s.seen.(v) <- true;
-            var_bump s v;
-            if s.level.(v) >= decision_level s then incr path
-            else learnt := q :: !learnt
-          end
-        end)
-      !c;
+    for k = !c + 1 to !c + arena.(!c) do
+      let q = arena.(k) in
+      (* Skip the asserting literal itself on non-first iterations. *)
+      if q <> !p then begin
+        let v = Lit.var q in
+        if (not s.seen.(v)) && s.level.(v) > 0 then begin
+          s.seen.(v) <- true;
+          var_bump s v;
+          if s.level.(v) >= dl then incr path else Vec.push stack q
+        end
+      end
+    done;
     (* Walk the trail backwards to the next marked literal. *)
     while not s.seen.(Lit.var (Vec.get s.trail !idx)) do
       decr idx
@@ -352,87 +409,110 @@ let analyze s conflict =
       continue := false
     end
     else begin
-      match s.reason.(v) with
-      | Some r ->
-        c := r;
-        p := l
-      | None -> assert false (* a decision cannot be interior to the cut *)
+      (* A decision cannot be interior to the cut. *)
+      assert (s.reason.(v) >= 0);
+      c := s.reason.(v);
+      p := l
     end
   done;
-  (* Clause minimization: drop a literal whose reason's literals are all
-     already in the clause (self-subsumption, non-recursive). *)
-  let in_clause v = s.seen.(v) in
-  List.iter (fun q -> s.seen.(Lit.var q) <- true) !learnt;
-  let minimized =
-    List.filter
-      (fun q ->
-        match s.reason.(Lit.var q) with
-        | None -> true
-        | Some r ->
-          not
-            (Array.for_all
-               (fun l -> Lit.var l = Lit.var q || in_clause (Lit.var l) || s.level.(Lit.var l) = 0)
-               r))
-      !learnt
-  in
-  List.iter (fun q -> s.seen.(Lit.var q) <- false) !learnt;
-  let learnt_arr = Array.of_list (!p :: minimized) in
+  (* Clause minimization (self-subsumption, non-recursive).  The
+     lower-level literals are still marked in [seen]. *)
+  let out = s.lits in
+  Vec.shrink out 0;
+  Vec.push out !p;
+  for i = Vec.size stack - 1 downto 0 do
+    let q = Vec.get stack i in
+    let r = s.reason.(Lit.var q) in
+    if r < 0 || not (redundant s q r) then Vec.push out q
+  done;
+  for i = 0 to Vec.size stack - 1 do
+    s.seen.(Lit.var (Vec.get stack i)) <- false
+  done;
   (* Find the backtrack level: the highest level among the non-asserting
      literals (0 if the clause is unit). *)
   let blevel = ref 0 in
   let pos = ref 0 in
-  for i = 1 to Array.length learnt_arr - 1 do
-    let lv = s.level.(Lit.var learnt_arr.(i)) in
+  for i = 1 to Vec.size out - 1 do
+    let lv = s.level.(Lit.var (Vec.get out i)) in
     if lv > !blevel then begin
       blevel := lv;
       pos := i
     end
   done;
   (* Put the second-highest-level literal at index 1 (watch invariant). *)
-  if Array.length learnt_arr > 1 then begin
-    let tmp = learnt_arr.(1) in
-    learnt_arr.(1) <- learnt_arr.(!pos);
-    learnt_arr.(!pos) <- tmp
+  if Vec.size out > 1 then begin
+    let tmp = Vec.get out 1 in
+    Vec.set out 1 (Vec.get out !pos);
+    Vec.set out !pos tmp
   end;
-  (learnt_arr, !blevel)
+  !blevel
 
 (* --- clause addition ------------------------------------------------ *)
 
-let attach_clause s c =
-  Vec.push s.watches.(c.(0)) c;
-  Vec.push s.watches.(c.(1)) c
+let rec push_lits s buf = function
+  | [] -> ()
+  | l :: rest ->
+    if Lit.var l >= s.nvars || l < 0 then
+      invalid_arg "Solver.add_clause: unallocated variable";
+    Vec.push buf l;
+    push_lits s buf rest
+
+(* Sort [a.(0 .. n-1)] ascending.  Insertion sort suits the short clauses
+   of Tseitin encodings; a long clause (from DIMACS, say) must not cost
+   quadratic time. *)
+let sort_prefix a n =
+  if n > 32 then begin
+    let b = Array.sub a 0 n in
+    Array.sort Int.compare b;
+    Array.blit b 0 a 0 n
+  end
+  else
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
 
 let add_clause s lits =
   if not s.unsat then begin
-    List.iter
-      (fun l ->
-        if Lit.var l >= s.nvars || l < 0 then
-          invalid_arg "Solver.add_clause: unallocated variable")
-      lits;
-    (* Normalize: sort, dedupe, drop tautologies and level-0-false lits. *)
-    let lits = List.sort_uniq compare lits in
-    let tautology =
-      List.exists (fun l -> List.mem (Lit.negate l) lits) lits
-    in
-    let lits =
-      List.filter
-        (fun l ->
-          not (lit_value s l = 0 && s.level.(Lit.var l) = 0))
-        lits
-    in
-    let satisfied =
-      List.exists (fun l -> lit_value s l = 1 && s.level.(Lit.var l) = 0) lits
-    in
-    if not (tautology || satisfied) then begin
-      match lits with
-      | [] -> s.unsat <- true
-      | [ l ] ->
+    let buf = s.lits in
+    Vec.shrink buf 0;
+    push_lits s buf lits;
+    (* Normalize in place: sort, dedupe, drop tautologies and
+       level-0-false literals. *)
+    let a = buf.data and n = Vec.size buf in
+    sort_prefix a n;
+    let m = ref 0 and dropped = ref false in
+    for i = 0 to n - 1 do
+      let l = a.(i) in
+      (* Sorted, so [l]'s duplicates and its negation sit just before
+         it.  [a.(i - 1)] has not been overwritten: [!m < i]. *)
+      if i = 0 || a.(i - 1) <> l then begin
+        if i > 0 && a.(i - 1) = Lit.negate l then dropped := true;
+        let at_root = s.level.(Lit.var l) = 0 in
+        match lit_value s l with
+        | 1 when at_root -> dropped := true
+        | 0 when at_root -> ()
+        | _ ->
+          a.(!m) <- l;
+          incr m
+      end
+    done;
+    if not !dropped then begin
+      match !m with
+      | 0 -> s.unsat <- true
+      | 1 ->
+        let l = a.(0) in
         if lit_value s l = -1 then begin
-          enqueue s l None;
-          if propagate s <> None then s.unsat <- true
+          enqueue s l (-1);
+          if propagate s >= 0 then s.unsat <- true
         end
-      | _ ->
-        let c = Array.of_list lits in
+      | m ->
+        let c = alloc_clause s a 0 m in
         Vec.push s.clauses c;
         attach_clause s c
     end
@@ -444,9 +524,43 @@ let add_clause s lits =
    assignment: it must survive reduction so conflict analysis can still
    walk the implication graph through it. *)
 let is_locked s c =
-  let v = Lit.var c.(0) in
-  s.assign.(v) >= 0
-  && (match s.reason.(v) with Some r -> r == c | None -> false)
+  let l = s.arena.(c + 1) in
+  lit_value s l >= 0 && s.reason.(Lit.var l) = c
+
+(* Copy the problem clauses and the learnts into a fresh arena, in that
+   order, and remap [clauses], [learnts] and every reason.  Each old
+   header is overwritten with -1 - (new offset) once its clause moved. *)
+let compact s =
+  let old = s.arena in
+  let live = ref 0 in
+  let count v =
+    for i = 0 to Vec.size v - 1 do
+      live := !live + 1 + old.(Vec.get v i)
+    done
+  in
+  count s.clauses;
+  count s.learnts;
+  s.arena <- Array.make (max 1024 (2 * !live)) 0;
+  s.arena_len <- 0;
+  let move v =
+    for i = 0 to Vec.size v - 1 do
+      let c = Vec.get v i in
+      let c' = alloc_clause s old (c + 1) old.(c) in
+      old.(c) <- -1 - c';
+      Vec.set v i c'
+    done
+  in
+  move s.clauses;
+  move s.learnts;
+  for i = 0 to Vec.size s.trail - 1 do
+    let v = Lit.var (Vec.get s.trail i) in
+    let r = s.reason.(v) in
+    if r >= 0 then begin
+      (* Every reason is a problem clause or a locked learnt. *)
+      assert (old.(r) < 0);
+      s.reason.(v) <- -1 - old.(r)
+    end
+  done
 
 (* Drop roughly half of the learnt clauses, longest first.  Binary and
    locked clauses always survive.  Sound at any point outside
@@ -454,34 +568,33 @@ let is_locked s c =
    satisfiability, and every watch list is rebuilt from scratch with the
    same watched literals, so the two-watched invariant is preserved. *)
 let reduce_learnts s =
-  let keep = ref [] and cands = ref [] in
-  for i = 0 to Vec.size s.learnts - 1 do
+  let keep = Vec.create () and cands = Vec.create () in
+  for i = Vec.size s.learnts - 1 downto 0 do
     let c = Vec.get s.learnts i in
-    if Array.length c <= 2 || is_locked s c then keep := c :: !keep
-    else cands := c :: !cands
+    if s.arena.(c) <= 2 || is_locked s c then Vec.push keep c
+    else Vec.push cands c
   done;
-  let cands =
-    List.sort (fun a b -> compare (Array.length a) (Array.length b)) !cands
-  in
-  let target = List.length cands / 2 in
-  let kept_cands = List.filteri (fun i _ -> i < target) cands in
-  let removed = List.length cands - target in
+  let cands = Array.sub cands.data 0 (Vec.size cands) in
+  Array.stable_sort (fun a b -> Int.compare s.arena.(a) s.arena.(b)) cands;
+  let target = Array.length cands / 2 in
+  let removed = Array.length cands - target in
   if removed > 0 then begin
     s.learnts_removed <- s.learnts_removed + removed;
     Vec.shrink s.learnts 0;
-    List.iter (Vec.push s.learnts) !keep;
-    List.iter (Vec.push s.learnts) kept_cands;
+    for i = 0 to Vec.size keep - 1 do
+      Vec.push s.learnts (Vec.get keep i)
+    done;
+    for i = 0 to target - 1 do
+      Vec.push s.learnts cands.(i)
+    done;
+    compact s;
     (* Rebuild every watch list: problem clauses plus surviving learnts. *)
     Array.iter (fun w -> Vec.shrink w 0) s.watches;
     for i = 0 to Vec.size s.clauses - 1 do
-      let c = Vec.get s.clauses i in
-      Vec.push s.watches.(c.(0)) c;
-      Vec.push s.watches.(c.(1)) c
+      attach_clause s (Vec.get s.clauses i)
     done;
     for i = 0 to Vec.size s.learnts - 1 do
-      let c = Vec.get s.learnts i in
-      Vec.push s.watches.(c.(0)) c;
-      Vec.push s.watches.(c.(1)) c
+      attach_clause s (Vec.get s.learnts i)
     done;
     Dfv_obs.Trace.instant ~cat:"sat"
       ~args:[ ("removed", Dfv_obs.Json.Int removed) ]
@@ -502,6 +615,15 @@ let luby i =
   let k = find 0 in
   1 lsl go k (size k) i
 
+(* Pop variables by activity until an unassigned one turns up; -1 when
+   every variable is assigned. *)
+let rec pick_branch_var s =
+  if Vec.size s.heap = 0 then -1
+  else begin
+    let v = heap_pop s in
+    if lit_value s (Lit.pos v) < 0 then v else pick_branch_var s
+  end
+
 exception Result of result
 exception Out_of_budget of reason
 
@@ -516,8 +638,8 @@ let solve ?(assumptions = []) s =
     try
       (* Main CDCL loop. *)
       while true do
-        match propagate s with
-        | Some conflict ->
+        let conflict = propagate s in
+        if conflict >= 0 then begin
           s.conflicts <- s.conflicts + 1;
           if s.conflict_budget > 0 then begin
             s.conflict_budget <- s.conflict_budget - 1;
@@ -541,91 +663,77 @@ let solve ?(assumptions = []) s =
             cancel_until s 0;
             raise (Result Unsat)
           end;
-          let learnt, blevel = analyze s conflict in
+          let blevel = analyze s conflict in
           (* Never backtrack past the assumption levels' consequences:
              analyze can produce blevel below assumptions; that is fine —
              the learnt clause stays valid, and re-deciding assumptions is
              handled by the decision loop. *)
-          cancel_until s (max blevel 0);
-          if Array.length learnt = 1 then begin
+          cancel_until s blevel;
+          let learnt = s.lits in
+          let asserting = Vec.get learnt 0 in
+          if Vec.size learnt = 1 then begin
             if decision_level s > 0 then cancel_until s 0;
-            if lit_value s learnt.(0) = 0 then begin
+            if lit_value s asserting = 0 then begin
               s.unsat <- true;
               raise (Result Unsat)
             end
-            else if lit_value s learnt.(0) = -1 then enqueue s learnt.(0) None
+            else if lit_value s asserting = -1 then enqueue s asserting (-1)
           end
           else begin
-            Vec.push s.learnts learnt;
-            attach_clause s learnt;
-            enqueue s learnt.(0) (Some learnt)
+            let c = alloc_clause s learnt.data 0 (Vec.size learnt) in
+            Vec.push s.learnts c;
+            attach_clause s c;
+            enqueue s asserting c
           end;
           var_decay s
-        | None ->
-          if !budget <= 0 && decision_level s > n_assumps then begin
-            (* Restart; also the safe point for learnt-DB reduction. *)
-            incr restart_idx;
-            budget := restart_unit * luby !restart_idx;
-            cancel_until s n_assumps;
-            if Vec.size s.learnts >= s.learnt_limit then begin
-              reduce_learnts s;
-              (* Geometric growth keeps reductions amortized. *)
-              s.learnt_limit <- s.learnt_limit + (s.learnt_limit / 2)
-            end
+        end
+        else if !budget <= 0 && decision_level s > n_assumps then begin
+          (* Restart; also the safe point for learnt-DB reduction. *)
+          incr restart_idx;
+          budget := restart_unit * luby !restart_idx;
+          cancel_until s n_assumps;
+          if Vec.size s.learnts >= s.learnt_limit then begin
+            reduce_learnts s;
+            (* Geometric growth keeps reductions amortized. *)
+            s.learnt_limit <- s.learnt_limit + (s.learnt_limit / 2)
+          end
+        end
+        else begin
+          (* Decide: first the assumptions, then free variables. *)
+          let dl = decision_level s in
+          if dl < n_assumps then begin
+            let a = assumps.(dl) in
+            if Lit.var a >= s.nvars then
+              invalid_arg "Solver.solve: assumption over unallocated variable";
+            match lit_value s a with
+            | 1 ->
+              (* Already true: open an empty level to keep indices
+                 aligned with the assumption array. *)
+              Vec.push s.trail_lim (Vec.size s.trail)
+            | 0 -> raise (Result Unsat)
+            | _ ->
+              Vec.push s.trail_lim (Vec.size s.trail);
+              enqueue s a (-1)
           end
           else begin
-            (* Decide: first the assumptions, then free variables. *)
-            let dl = decision_level s in
-            if dl < n_assumps then begin
-              let a = assumps.(dl) in
-              if Lit.var a >= s.nvars then
-                invalid_arg "Solver.solve: assumption over unallocated variable";
-              match lit_value s a with
-              | 1 ->
-                (* Already true: open an empty level to keep indices
-                   aligned with the assumption array. *)
-                Vec.push s.trail_lim (Vec.size s.trail)
-              | 0 -> raise (Result Unsat)
-              | _ ->
-                Vec.push s.trail_lim (Vec.size s.trail);
-                enqueue s a None
-            end
-            else begin
-              (* Pick an unassigned variable by activity. *)
-              let rec pick () =
-                if Vec.size s.heap = 0 then None
-                else begin
-                  let v = heap_pop s in
-                  if s.assign.(v) < 0 then Some v else pick ()
-                end
-              in
-              match pick () with
-              | None -> raise (Result Sat)
-              | Some v ->
-                s.decisions <- s.decisions + 1;
-                Vec.push s.trail_lim (Vec.size s.trail);
-                enqueue s (Lit.make v s.phase.(v)) None
-            end
+            let v = pick_branch_var s in
+            if v < 0 then raise (Result Sat);
+            s.decisions <- s.decisions + 1;
+            Vec.push s.trail_lim (Vec.size s.trail);
+            enqueue s (Lit.make v s.phase.(v)) (-1)
           end
+        end
       done;
       assert false
     with Result r ->
-      if r = Sat then begin
-        (* Snapshot would happen here if we cleared the trail; instead we
-           leave the trail intact so [value] can read it, and reset lazily
-           on the next solve/add. *)
-        ()
-      end;
+      (* On Sat the trail stays intact so [value] can read the model; the
+         next solve or add resets it. *)
       r
   end
 
-let value s l =
-  match lit_value s l with
-  | 1 -> true
-  | 0 -> false
-  | _ -> false (* unassigned vars are don't-cares; report false *)
+let value s l = lit_value s l = 1 (* unassigned vars are don't-cares *)
 
-let model s = Array.init s.nvars (fun v -> s.assign.(v) = 1)
+let model s = Array.init s.nvars (fun v -> lit_value s (Lit.pos v) = 1)
 
 let true_lit s =
   if s.const_true < 0 then begin

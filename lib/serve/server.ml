@@ -165,8 +165,10 @@ type state = {
   cfg : config;
   cache : Cache.t;
   endpoints : (string, endpoint) Hashtbl.t;
-  mutable log : Json.t list;  (** newest first, bounded by [log_limit] *)
-  mutable logged : int;
+  log : Json.t array;
+      (** ring of the newest [log_limit] requests: request [i] (counted
+          from 0) sits in slot [i mod log_limit] *)
+  mutable logged : int;  (** requests logged so far *)
   mutable requests : int;
   started : float;
   resolve_pair : design:string -> bug:string -> (Pair.t, string) result;
@@ -190,18 +192,23 @@ let endpoint st name =
     e
 
 let log_request st ~id ~op ~key ~cached ~seconds ~status =
-  st.logged <- st.logged + 1;
-  st.log <-
-    Json.Obj
-      [ ("id", Json.Int id);
-        ("op", Json.String op);
-        ("key", Json.String key);
-        ("cached", Json.Bool cached);
-        ("seconds", Json.Float seconds);
-        ("status", Json.String status) ]
-    :: (if List.length st.log >= st.cfg.log_limit then
-          List.filteri (fun i _ -> i < st.cfg.log_limit - 1) st.log
-        else st.log)
+  let n = Array.length st.log in
+  if n > 0 then
+    st.log.(st.logged mod n) <-
+      Json.Obj
+        [ ("id", Json.Int id);
+          ("op", Json.String op);
+          ("key", Json.String key);
+          ("cached", Json.Bool cached);
+          ("seconds", Json.Float seconds);
+          ("status", Json.String status) ];
+  st.logged <- st.logged + 1
+
+(* The kept entries, oldest first. *)
+let log_entries st =
+  let n = Array.length st.log in
+  let kept = min st.logged n in
+  List.init kept (fun i -> st.log.((st.logged - kept + i) mod n))
 
 let summary_json st =
   let endpoints =
@@ -241,8 +248,8 @@ let summary_json st =
             ("rejected", Json.Int (Cache.rejected st.cache));
             ("replayed", Json.Int (Cache.replayed st.cache)) ] );
       ("uptime_seconds", Json.Float (Unix.gettimeofday () -. st.started));
-      ("log_truncated", Json.Bool (st.logged > List.length st.log));
-      ("log", Json.List (List.rev st.log)) ]
+      ("log_truncated", Json.Bool (st.logged > Array.length st.log));
+      ("log", Json.List (log_entries st)) ]
 
 (* --- request handling --------------------------------------------------- *)
 
@@ -432,7 +439,7 @@ let run ~resolve cfg =
       cfg;
       cache;
       endpoints = Hashtbl.create 8;
-      log = [];
+      log = Array.make (max 0 cfg.log_limit) Json.Null;
       logged = 0;
       requests = 0;
       started = Unix.gettimeofday ();

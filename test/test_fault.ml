@@ -330,10 +330,9 @@ let test_campaign_deadline_sheds () =
 
 (* Journal resume on the domains executor: the same kill-mid-campaign
    scenario as test_campaign_resume_byte_identical, with the pooled legs
-   running on in-process domains instead of forked workers.  Lives in a
-   separate suite registered after every fork-using test: OCaml 5
-   forbids Unix.fork once a process has spawned a domain, so this must
-   be among the last pool work in the test binary. *)
+   running on in-process domains instead of forked workers.  It is in
+   [domains_suite], which runs in its own process: OCaml 5 forbids
+   Unix.fork once a process has spawned a domain. *)
 let test_campaign_resume_on_domains () =
   let subject () = Campaign.Sec_pair (alu_pair ()) in
   let run ?journal () =

@@ -570,13 +570,8 @@ let test_telemetry_journal_resume_no_double_count () =
 
 (* --- the domains executor ---------------------------------------------- *)
 
-(* ORDERING MATTERS in this file's suite: OCaml 5 forbids Unix.fork in a
-   process that has ever spawned a domain, so every fork-pool test (and
-   every fork leg inside a mixed test) must run before the first test
-   that touches Dpool's domains.  The suite list below keeps all
-   fork-only tests first, then the campaign fork-parity leg, then the
-   adaptive-dispatch test (fork legs internally first), and only then
-   the domains-only tests. *)
+(* These tests form [domains_suite], which runs in its own process: OCaml
+   5 forbids Unix.fork in a process that has ever spawned a domain. *)
 
 module Dpool = Dfv_par.Dpool
 
@@ -738,8 +733,6 @@ let campaign_transcript ?pool ?exec ~jobs () =
     r.Dfv_fault.Campaign.r_results
   |> String.concat "\n"
 
-(* Fork legs — runs while the fork door is still open (before any
-   domains test). *)
 let test_cross_executor_fork_parity () =
   let seq = campaign_transcript ~pool:false ~jobs:1 () in
   Alcotest.(check bool) "transcript non-trivial" true (String.length seq > 0);
@@ -882,11 +875,13 @@ let suite =
       test_telemetry_retry_no_double_count;
     Alcotest.test_case "journal resume ships no duplicate telemetry" `Quick
       test_telemetry_journal_resume_no_double_count;
-    (* fork-leg tests first, then the first domains spawn, then
-       domains-only tests — see the ordering note above Dpool *)
     Alcotest.test_case "campaign verdicts invariant under fork executor"
-      `Quick test_cross_executor_fork_parity;
-    Alcotest.test_case "adaptive dispatch routes, counts, and sticks" `Quick
+      `Quick test_cross_executor_fork_parity ]
+
+(* The adaptive-dispatch case comes first: its fork legs need the fork
+   door still open. *)
+let domains_suite =
+  [ Alcotest.test_case "adaptive dispatch routes, counts, and sticks" `Quick
       test_map_auto_dispatch;
     Alcotest.test_case "dpool map preserves input order" `Quick
       test_dpool_map_order;

@@ -67,21 +67,30 @@ let test_xor_chain_unsat () =
   xor1 v.(0) v.(n - 1);
   check_res "unsat" false (is_sat (Solver.solve s))
 
+(* PHP over fresh variables of [s]: pigeon i in some hole; no two pigeons
+   share a hole. *)
+let pigeonhole_clauses s pigeons holes =
+  let var =
+    Array.init pigeons (fun _ -> Array.init holes (fun _ -> Solver.new_var s))
+  in
+  let rows =
+    List.init pigeons (fun i -> List.init holes (fun j -> Lit.pos var.(i).(j)))
+  in
+  let clashes =
+    List.concat_map
+      (fun j ->
+        List.concat_map
+          (fun i1 ->
+            List.init (pigeons - i1 - 1) (fun d ->
+                [ Lit.neg var.(i1).(j); Lit.neg var.(i1 + d + 1).(j) ]))
+          (List.init pigeons Fun.id))
+      (List.init holes Fun.id)
+  in
+  rows @ clashes
+
 let pigeonhole pigeons holes =
-  (* PHP: pigeon i in some hole; no two pigeons share a hole. *)
   let s = Solver.create () in
-  let var = Array.init pigeons (fun _ -> Array.init holes (fun _ -> Solver.new_var s)) in
-  for i = 0 to pigeons - 1 do
-    Solver.add_clause s
-      (List.init holes (fun j -> Lit.pos var.(i).(j)))
-  done;
-  for j = 0 to holes - 1 do
-    for i1 = 0 to pigeons - 1 do
-      for i2 = i1 + 1 to pigeons - 1 do
-        Solver.add_clause s [ Lit.neg var.(i1).(j); Lit.neg var.(i2).(j) ]
-      done
-    done
-  done;
+  List.iter (Solver.add_clause s) (pigeonhole_clauses s pigeons holes);
   s
 
 let test_pigeonhole_unsat () =
@@ -347,13 +356,36 @@ let test_budget_validation () =
   check_bool "seconds >= 0" true
     (bad { Solver.max_conflicts = None; max_seconds = Some (-1.0) })
 
+(* The counts pin the search trajectory: a change to the solver's data
+   layout must reproduce them exactly (DESIGN.md section 7). *)
+let check_counts name s (conflicts, decisions, propagations, removed) =
+  Alcotest.(check (list int))
+    (name ^ ": conflicts, decisions, propagations, learnts removed")
+    [ conflicts; decisions; propagations; removed ]
+    [ Solver.nconflicts s; Solver.ndecisions s; Solver.npropagations s;
+      Solver.nlearnts_removed s ]
+
 let test_learnt_reduction () =
   (* Force many reductions on a hard instance and check the answer is
      still right: reduction must be sound (learnts are implied). *)
   let s = pigeonhole 7 6 in
   Solver.set_learnt_limit s 64;
   check_res "php(7,6) unsat with tiny learnt DB" false (is_sat (Solver.solve s));
-  check_bool "reductions happened" true (Solver.nlearnts_removed s > 0);
+  check_counts "php(7,6)" s (785, 965, 10167, 518);
+  (* Queries under assumptions, where reductions meet reasons at the
+     assumption levels. *)
+  let st = Random.State.make [| 1 |] in
+  let lit () = Lit.make (Random.State.int st 100) (Random.State.bool st) in
+  let r, _ = fresh 100 in
+  Solver.set_learnt_limit r 4;
+  List.iter (Solver.add_clause r)
+    (List.init 420 (fun _ -> List.init 3 (fun _ -> lit ())));
+  for _ = 1 to 6 do
+    let assumptions = List.init 3 (fun _ -> lit ()) in
+    ignore (Solver.solve ~assumptions r);
+    ignore (Solver.solve ~assumptions r)
+  done;
+  check_counts "random 3-SAT under assumptions" r (320, 394, 7505, 50);
   (* And a satisfiable instance still finds a (valid) model. *)
   let s2 = pigeonhole 6 6 in
   Solver.set_learnt_limit s2 16;
@@ -362,6 +394,105 @@ let test_learnt_reduction () =
     (match Solver.set_learnt_limit s2 0 with
     | exception Invalid_argument _ -> true
     | () -> false)
+
+(* --- reduction and arena compaction ----------------------------------- *)
+
+(* Reduction runs only at a restart, after 100 conflicts in one call,
+   which a brute-forceable random CNF never reaches.  A pigeonhole core
+   behind two fresh guard literals supplies those conflicts: it is
+   unsatisfiable while both guards are assumed, and leaving a guard false
+   satisfies it, so every other answer still follows from the random
+   part alone.  Two guards make the learnt clauses ternary or longer, so
+   they are reduction candidates. *)
+let guarded_pigeonhole s pigeons holes =
+  let g1 = Lit.pos (Solver.new_var s) in
+  let g2 = Lit.pos (Solver.new_var s) in
+  let core =
+    List.map
+      (fun c -> Lit.negate g1 :: Lit.negate g2 :: c)
+      (pigeonhole_clauses s pigeons holes)
+  in
+  List.iter (Solver.add_clause s) core;
+  ([ g1; g2 ], core)
+
+let units = List.map (fun l -> [ l ])
+
+let gen_reduction_steps =
+  QCheck.Gen.(
+    int_range 3 10 >>= fun nvars ->
+    let gen_lit = map2 Lit.make (int_range 0 (nvars - 1)) bool in
+    let step =
+      pair
+        (list_size (int_range 1 12) (list_size (int_range 1 3) gen_lit))
+        (list_size (int_range 0 3) gen_lit)
+    in
+    map (fun steps -> (nvars, steps)) (list_size (int_range 1 4) step))
+
+let arb_reduction_steps =
+  let show ls = String.concat " " (List.map Lit.to_string ls) in
+  QCheck.make gen_reduction_steps ~print:(fun (nvars, steps) ->
+      Printf.sprintf "nvars=%d %s" nvars
+        (String.concat " | "
+           (List.map
+              (fun (cs, a) ->
+                Printf.sprintf "add [%s] assume [%s]"
+                  (String.concat "; " (List.map show cs))
+                  (show a))
+              steps)))
+
+(* Each step adds random clauses and a fresh guarded core, then solves
+   under the guards (a reduction-heavy Unsat) and without them (checked
+   against brute force, and any model against every clause). *)
+let prop_reduction_keeps_answers =
+  QCheck.Test.make ~name:"learnt reduction keeps answers exact" ~count:100
+    arb_reduction_steps (fun (nvars, steps) ->
+      let s, _ = fresh nvars in
+      Solver.set_learnt_limit s 4;
+      let random = ref [] and all = ref [] in
+      List.for_all
+        (fun (clauses, assumptions) ->
+          List.iter (Solver.add_clause s) clauses;
+          let guards, core = guarded_pigeonhole s 6 5 in
+          random := clauses @ !random;
+          all := clauses @ core @ !all;
+          let expect = brute_force_sat nvars (units assumptions @ !random) in
+          (not (is_sat (Solver.solve ~assumptions:(guards @ assumptions) s)))
+          &&
+          if is_sat (Solver.solve ~assumptions s) then
+            expect && eval_clauses (units assumptions @ !all) (Solver.model s)
+          else not expect)
+        steps)
+
+(* Assuming a1..a30 and deciding x false conflicts through
+   (x | y | ~a1..~a30) and (x | ~y | ~a1..~a30), which learns
+   (x | ~a1 | ... | ~a30).  It asserts x at the last assumption level, so
+   it stays the locked reason of x for the rest of the call.  x is
+   allocated last, which makes it the first free decision.  The guarded
+   core then forces restarts, whose reductions drop the longest learnts:
+   this clause, the longest, must stay, and compaction must move it
+   together with x's reason. *)
+let test_locked_reasons_survive_compaction () =
+  let s = Solver.create () in
+  let a = List.init 30 (fun _ -> Lit.pos (Solver.new_var s)) in
+  let guards, core = guarded_pigeonhole s 7 6 in
+  let y = Solver.new_var s in
+  let x = Solver.new_var s in
+  let not_a = List.map Lit.negate a in
+  let pair =
+    [ Lit.pos x :: Lit.pos y :: not_a; Lit.pos x :: Lit.neg y :: not_a ]
+  in
+  List.iter (Solver.add_clause s) pair;
+  Solver.set_learnt_limit s 4;
+  let assumptions = guards @ a in
+  check_res "core unsat under its guards" false
+    (is_sat (Solver.solve ~assumptions s));
+  check_counts "guarded php(7,6)" s (953, 1173, 12577, 520);
+  check_res "same query after the reductions" false
+    (is_sat (Solver.solve ~assumptions s));
+  check_res "guards off" true (is_sat (Solver.solve ~assumptions:a s));
+  check_bool "x forced" true (Solver.value s (Lit.pos x));
+  check_bool "model satisfies every clause" true
+    (eval_clauses (units a @ pair @ core) (Solver.model s))
 
 let test_interleaved_sessions () =
   (* The access pattern of an equivalence session: add_clause / solve /
@@ -418,6 +549,9 @@ let suite =
       Alcotest.test_case "budgeted wall clock" `Quick test_budgeted_time;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
       Alcotest.test_case "learnt DB reduction" `Quick test_learnt_reduction;
+      Alcotest.test_case "locked reasons survive compaction" `Quick
+        test_locked_reasons_survive_compaction;
+      QCheck_alcotest.to_alcotest prop_reduction_keeps_answers;
       Alcotest.test_case "interleaved incremental sessions" `Quick
         test_interleaved_sessions;
       Alcotest.test_case "dimacs offset load" `Quick test_dimacs_offset_load ]

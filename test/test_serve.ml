@@ -289,7 +289,7 @@ let resolve ~design ~bug =
 (* Fork a server child on [socket].  SIGTERM routes through the pool's
    cooperative stop flag, so the child exits with the daemon's return
    code (4: interrupted, resumable). *)
-let fork_server ?store ?summary socket =
+let fork_server ?store ?summary ?(log_limit = 4096) socket =
   match Unix.fork () with
   | 0 ->
     let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
@@ -306,6 +306,7 @@ let fork_server ?store ?summary socket =
         store;
         summary;
         jobs = 2;
+        log_limit;
       }
     in
     let code = try Server.run ~resolve cfg with _ -> 3 in
@@ -464,6 +465,45 @@ let test_serve_end_to_end () =
   Client.close c3;
   Alcotest.(check int) "clean shutdown exits 0" 0 (wait_exit pid2)
 
+(* The Stats reply carries the newest [log_limit] requests, oldest
+   first, and says once older ones were dropped.  A Stats request is
+   logged after its reply is built. *)
+let test_request_log_ring () =
+  let dir = Filename.temp_file "dfv_serve_log" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let socket = Filename.concat dir "s.sock" in
+  let pid = fork_server ~log_limit:3 socket in
+  let c = connect socket in
+  let ping () = (call c Protocol.Ping).Protocol.rsp_id in
+  let stats () =
+    let r = call c Protocol.Stats in
+    match payload_exn r with
+    | Protocol.R_stats s ->
+      let ids =
+        match Json.field "log" s with
+        | Some (Json.List l) -> List.map (fun e -> int_field e "id") l
+        | _ -> Alcotest.fail "stats without a log"
+      in
+      (r.Protocol.rsp_id, ids, Json.field "log_truncated" s)
+    | _ -> Alcotest.fail "stats payload"
+  in
+  let p1 = ping () in
+  let p2 = ping () in
+  let s1, log1, truncated1 = stats () in
+  Alcotest.(check (list int)) "log before it fills" [ p1; p2 ] log1;
+  Alcotest.(check bool)
+    "not truncated" true
+    (truncated1 = Some (Json.Bool false));
+  let p3 = ping () in
+  let p4 = ping () in
+  let _, log2, truncated2 = stats () in
+  Alcotest.(check (list int)) "newest three, oldest first" [ s1; p3; p4 ] log2;
+  Alcotest.(check bool) "truncated" true (truncated2 = Some (Json.Bool true));
+  ignore (call c Protocol.Shutdown);
+  Client.close c;
+  Alcotest.(check int) "clean shutdown exits 0" 0 (wait_exit pid)
+
 (* SIGKILL mid-write is the crash the journal discipline exists for:
    whatever was fsync'd before the kill replays; the file is never
    unusable. *)
@@ -514,5 +554,7 @@ let suite =
     Alcotest.test_case "fingerprints stable across processes" `Quick
       test_fingerprint_stable_across_fork;
     Alcotest.test_case "daemon end to end" `Quick test_serve_end_to_end;
+    Alcotest.test_case "request log keeps the newest entries" `Quick
+      test_request_log_ring;
     Alcotest.test_case "store survives SIGKILL" `Quick
       test_store_survives_sigkill ]
