@@ -1094,6 +1094,34 @@ let client_cmd =
     (Cmd.info "client" ~doc ~exits)
     [ sec; sim; faultsim; ping; stats; shutdown ]
 
+(* --- artifacts ---------------------------------------------------------- *)
+
+(* What [validate] and [report] read: a journal is line-framed JSON, not
+   one document, so it is recognised by its first line; anything else
+   must be one JSON document carrying the common envelope.  [Error] is
+   the reason the file is not an artifact. *)
+type artifact =
+  | Journal of string  (** the file's contents *)
+  | Document of string * int * Dfv_obs.Json.t  (** schema, version, value *)
+
+let load_artifact file =
+  let module J = Dfv_obs.Json in
+  let contents = In_channel.with_open_bin file In_channel.input_all in
+  let first_line =
+    match String.index_opt contents '\n' with
+    | Some i -> String.sub contents 0 i
+    | None -> contents
+  in
+  match Result.map J.envelope_of (J.parse first_line) with
+  | Ok (Some ("dfv-journal", _)) -> Ok (Journal contents)
+  | Ok _ | Error _ -> (
+    match J.parse contents with
+    | Error m -> Error ("parse error: " ^ m)
+    | Ok v -> (
+      match J.envelope_of v with
+      | Some (schema, version) -> Ok (Document (schema, version, v))
+      | None -> Error "missing {schema, version} envelope"))
+
 let validate_cmd =
   let doc =
     "Validate machine-readable artifacts: each FILE must parse as JSON \
@@ -1110,29 +1138,12 @@ let validate_cmd =
   in
   let run files =
     let validate file =
-      let contents =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      (* A journal is line-framed JSON, not one document: recognise it
-         by its first line and validate the whole record stream. *)
-      let first_line =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents 0 i
-        | None -> contents
-      in
-      let is_journal =
-        match Dfv_obs.Json.parse first_line with
-        | Ok v -> (
-          match Dfv_obs.Json.envelope_of v with
-          | Some ("dfv-journal", _) -> true
-          | Some _ | None -> false)
-        | Error _ -> false
-      in
-      if is_journal then
+      match load_artifact file with
+      | Error m ->
+        Printf.printf "%-40s FAIL  %s\n" file m;
+        false
+      | Ok (Journal _) -> (
+        (* the whole record stream, under the journal's own policy *)
         match Dfv_par.Journal.inspect file with
         | Ok info ->
           Printf.printf "%-40s ok    dfv-journal v1 (%d records%s%s)\n" file
@@ -1145,109 +1156,82 @@ let validate_cmd =
           true
         | Error m ->
           Printf.printf "%-40s FAIL  %s\n" file m;
-          false
-      else
-        match Dfv_obs.Json.parse contents with
-        | Error m ->
-          Printf.printf "%-40s FAIL  %s\n" file ("parse error: " ^ m);
-          false
-        | Ok v -> (
-          match Dfv_obs.Json.envelope_of v with
-          | Some (schema, version) -> (
-            (* Structural checks for the schemas dfv itself consumes
-               back (trace merging, metrics merging): the envelope alone
-               does not prove the payload has the right shape. *)
-            let shape =
-              match schema with
-              | "dfv-trace" -> (
-                match Dfv_obs.Json.field "traceEvents" v with
-                | Some (Dfv_obs.Json.List evs) ->
-                  Ok (Printf.sprintf " (%d events)" (List.length evs))
-                | Some _ -> Error "traceEvents is not an array"
-                | None -> Error "missing traceEvents")
-              | "dfv-metrics" ->
-                let section name =
-                  match Dfv_obs.Json.field name v with
-                  | Some (Dfv_obs.Json.Obj _) -> None
-                  | Some _ -> Some (name ^ " is not an object")
-                  | None -> Some ("missing " ^ name)
-                in
-                let missing =
-                  List.filter_map section
-                    [ "counters"; "gauges"; "histograms" ]
-                in
-                if missing = [] then Ok "" else Error (List.hd missing)
-              | "dfv-bench" -> (
-                (* par_speedup now records one row per executor; the CI
-                   gate reads mode/cores out of those rows, so their
-                   shape is part of the artifact contract. *)
-                match Dfv_obs.Json.field "experiment" v with
-                | Some (Dfv_obs.Json.String "par_speedup") -> (
-                  match Dfv_obs.Json.field "modes" v with
-                  | Some (Dfv_obs.Json.List rows) ->
-                    let row_ok row =
-                      (match Dfv_obs.Json.field "mode" row with
-                      | Some (Dfv_obs.Json.String _) -> true
-                      | _ -> false)
-                      && (match Dfv_obs.Json.field "cores" row with
-                         | Some (Dfv_obs.Json.Int _) -> true
-                         | _ -> false)
-                      && (match Dfv_obs.Json.field "speedup" row with
-                         | Some (Dfv_obs.Json.Float _ | Dfv_obs.Json.Int _) ->
-                           true
-                         | _ -> false)
-                    in
-                    if rows = [] then Error "modes is empty"
-                    else if List.for_all row_ok rows then
-                      Ok
-                        (Printf.sprintf " (%d executor rows)"
-                           (List.length rows))
-                    else
-                      Error
-                        "modes rows need string mode, int cores, numeric \
-                         speedup"
-                  | Some _ -> Error "modes is not an array"
-                  | None -> Error "par_speedup is missing modes")
-                | _ -> Ok "")
-              | "dfv-serve" -> (
-                (* The serve smoke uploads the daemon summary; its
-                   endpoint rows and cache counters are what the CI
-                   assertions read, so their shape is contractual. *)
-                match Dfv_obs.Json.field "kind" v with
-                | Some (Dfv_obs.Json.String "summary") -> (
-                  match
-                    ( Dfv_obs.Json.field "requests" v,
-                      Dfv_obs.Json.field "endpoints" v,
-                      Dfv_obs.Json.field "cache" v )
-                  with
-                  | ( Some (Dfv_obs.Json.Int n),
-                      Some (Dfv_obs.Json.List eps),
-                      Some (Dfv_obs.Json.Obj _) ) ->
-                    Ok
-                      (Printf.sprintf " (summary: %d requests, %d endpoints)"
-                         n (List.length eps))
-                  | _ ->
-                    Error
-                      "summary needs int requests, endpoints array, cache \
-                       object")
-                | Some (Dfv_obs.Json.String ("request" | "response")) -> Ok ""
-                | Some (Dfv_obs.Json.String k) ->
-                  Error ("unknown dfv-serve kind " ^ k)
-                | _ -> Error "missing kind")
-              | _ -> Ok ""
+          false)
+      | Ok (Document (schema, version, v)) -> (
+        let module J = Dfv_obs.Json in
+        (* Structural checks for the schemas dfv itself consumes back
+           (trace merging, metrics merging): the envelope alone does not
+           prove the payload has the right shape. *)
+        let shape =
+          match schema with
+          | "dfv-trace" -> (
+            match J.field "traceEvents" v with
+            | Some (J.List evs) ->
+              Ok (Printf.sprintf " (%d events)" (List.length evs))
+            | Some _ -> Error "traceEvents is not an array"
+            | None -> Error "missing traceEvents")
+          | "dfv-metrics" ->
+            let section name =
+              match J.field name v with
+              | Some (J.Obj _) -> None
+              | Some _ -> Some (name ^ " is not an object")
+              | None -> Some ("missing " ^ name)
             in
-            match shape with
-            | Ok extra ->
-              Printf.printf "%-40s ok    %s v%d%s\n" file schema version
-                extra;
-              true
-            | Error m ->
-              Printf.printf "%-40s FAIL  %s: %s\n" file schema m;
-              false)
-          | None ->
-            Printf.printf "%-40s FAIL  missing {schema, version} envelope\n"
-              file;
-            false)
+            let missing =
+              List.filter_map section [ "counters"; "gauges"; "histograms" ]
+            in
+            if missing = [] then Ok "" else Error (List.hd missing)
+          | "dfv-bench" -> (
+            (* par_speedup records one row per executor; the CI gate
+               reads mode/cores out of those rows, so their shape is
+               part of the artifact contract. *)
+            match J.string_field "experiment" v with
+            | Some "par_speedup" -> (
+              match J.field "modes" v with
+              | Some (J.List rows) ->
+                let row_ok row =
+                  J.string_field "mode" row <> None
+                  && J.int_field "cores" row <> None
+                  && J.float_field "speedup" row <> None
+                in
+                if rows = [] then Error "modes is empty"
+                else if List.for_all row_ok rows then
+                  Ok (Printf.sprintf " (%d executor rows)" (List.length rows))
+                else
+                  Error
+                    "modes rows need string mode, int cores, numeric speedup"
+              | Some _ -> Error "modes is not an array"
+              | None -> Error "par_speedup is missing modes")
+            | _ -> Ok "")
+          | "dfv-serve" -> (
+            (* The serve smoke uploads the daemon summary; its endpoint
+               rows and cache counters are what the CI assertions read,
+               so their shape is contractual. *)
+            match J.field "kind" v with
+            | Some (J.String "summary") -> (
+              match
+                (J.int_field "requests" v, J.field "endpoints" v,
+                 J.field "cache" v)
+              with
+              | Some n, Some (J.List eps), Some (J.Obj _) ->
+                Ok
+                  (Printf.sprintf " (summary: %d requests, %d endpoints)" n
+                     (List.length eps))
+              | _ ->
+                Error
+                  "summary needs int requests, endpoints array, cache object")
+            | Some (J.String ("request" | "response")) -> Ok ""
+            | Some (J.String k) -> Error ("unknown dfv-serve kind " ^ k)
+            | _ -> Error "missing kind")
+          | _ -> Ok ""
+        in
+        match shape with
+        | Ok extra ->
+          Printf.printf "%-40s ok    %s v%d%s\n" file schema version extra;
+          true
+        | Error m ->
+          Printf.printf "%-40s FAIL  %s: %s\n" file schema m;
+          false)
     in
     let ok =
       List.fold_left (fun acc f -> validate f && acc) true files
@@ -1278,18 +1262,8 @@ let report_cmd =
   in
   let run top files =
     let module J = Dfv_obs.Json in
-    let str_field name v =
-      match J.field name v with Some (J.String s) -> Some s | _ -> None
-    in
-    let int_field name v =
-      match J.field name v with Some (J.Int i) -> Some i | _ -> None
-    in
-    let num_field name v =
-      match J.field name v with
-      | Some (J.Float f) -> Some f
-      | Some (J.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
+    let str_field = J.string_field and int_field = J.int_field in
+    let num_field = J.float_field in
     let ints name v = Option.value ~default:0 (int_field name v) in
     let take n l = List.filteri (fun i _ -> i < n) l in
     let report_faultsim v =
@@ -1670,51 +1644,23 @@ let report_cmd =
         true
     in
     let render file =
-      let contents =
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
-      let first_line =
-        match String.index_opt contents '\n' with
-        | Some i -> String.sub contents 0 i
-        | None -> contents
-      in
-      let is_journal =
-        match J.parse first_line with
-        | Ok v -> (
-          match J.envelope_of v with
-          | Some ("dfv-journal", _) -> true
-          | Some _ | None -> false)
-        | Error _ -> false
-      in
-      if is_journal then begin
+      match load_artifact file with
+      | Error m ->
+        Printf.printf "%s — FAIL %s\n" file m;
+        false
+      | Ok (Journal contents) ->
         Printf.printf "%s — dfv-journal v1\n" file;
         report_journal file contents
-      end
-      else
-        match J.parse contents with
-        | Error m ->
-          Printf.printf "%s — FAIL parse error: %s\n" file m;
-          false
-        | Ok v -> (
-          match J.envelope_of v with
-          | None ->
-            Printf.printf "%s — FAIL missing {schema, version} envelope\n"
-              file;
-            false
-          | Some (schema, version) ->
-            Printf.printf "%s — %s v%d\n" file schema version;
-            (match schema with
-            | "dfv-faultsim" -> report_faultsim v
-            | "dfv-metrics" -> report_metrics v
-            | "dfv-trace" -> report_trace v
-            | "dfv-coverage" -> report_coverage v
-            | "dfv-serve" -> report_serve v
-            | _ -> report_generic v);
-            true)
+      | Ok (Document (schema, version, v)) ->
+        Printf.printf "%s — %s v%d\n" file schema version;
+        (match schema with
+        | "dfv-faultsim" -> report_faultsim v
+        | "dfv-metrics" -> report_metrics v
+        | "dfv-trace" -> report_trace v
+        | "dfv-coverage" -> report_coverage v
+        | "dfv-serve" -> report_serve v
+        | _ -> report_generic v);
+        true
     in
     let ok =
       List.fold_left

@@ -161,22 +161,14 @@ let to_json e =
   | Internal m -> obj "internal" [ ("detail", str m) ]
 
 let of_json v =
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
+  let required kind read name =
+    match read name v with
+    | Some x -> Ok x
+    | None -> Error (Printf.sprintf "missing %s field %S" kind name)
   in
-  let int name =
-    match Json.field name v with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "missing int field %S" name)
-  in
-  let num name =
-    match Json.field name v with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing number field %S" name)
-  in
+  let str = required "string" Json.string_field in
+  let int = required "int" Json.int_field in
+  let num = required "number" Json.float_field in
   let ( let* ) = Result.bind in
   let* kind = str "kind" in
   match kind with

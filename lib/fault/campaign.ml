@@ -97,18 +97,17 @@ let verdict_to_json = function
   | Crashed e ->
     Json.Obj [ ("kind", Json.String "crashed"); ("error", Dfv_error.to_json e) ]
 
+let str_field v name =
+  match Json.string_field name v with
+  | Some s -> Ok s
+  | None -> Error (Printf.sprintf "missing string field %S" name)
+
 let verdict_of_json v =
   let ( let* ) = Result.bind in
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
+  let str = str_field v in
   let seconds () =
-    match Json.field "seconds" v with
-    | Some (Json.Float f) -> Ok f
-    | Some (Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error "missing number field \"seconds\""
+    Option.to_result (Json.float_field "seconds" v)
+      ~none:"missing number field \"seconds\""
   in
   let* kind = str "kind" in
   match kind with
@@ -148,11 +147,7 @@ let result_to_json r =
 
 let result_of_json v =
   let ( let* ) = Result.bind in
-  let str name =
-    match Json.field name v with
-    | Some (Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" name)
-  in
+  let str = str_field v in
   let* m_name = str "name" in
   let* m_class = str "class" in
   let* m_site = str "site" in

@@ -229,29 +229,23 @@ let release_domain () =
 
 (* -- cross-process merge ---------------------------------------------- *)
 
-let int_field name j =
-  match Json.field name j with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field name j =
-  match Json.field name j with Some (Json.String s) -> Some s | _ -> None
-
 (* Rebuild a worker's bins from their wire descriptors so the parent
    needs no prior registration: groups and points are found-or-created
    with the shipped shape, then hit counts are summed by bin position.
    Merging never re-emits illegal-hit trace instants — the worker
    already recorded those when it sampled. *)
 let merge_point g pj =
-  match (str_field "name" pj, Json.field "bins" pj) with
+  match (Json.string_field "name" pj, Json.field "bins" pj) with
   | Some name, Some (Json.List bins_j) ->
     let descr =
       List.map
         (fun bj ->
           match
-            ( str_field "name" bj,
-              str_field "kind" bj,
-              int_field "lo" bj,
-              int_field "hi" bj,
-              int_field "hits" bj )
+            ( Json.string_field "name" bj,
+              Json.string_field "kind" bj,
+              Json.int_field "lo" bj,
+              Json.int_field "hi" bj,
+              Json.int_field "hits" bj )
           with
           | Some bname, Some k, Some lo, Some hi, Some hits -> (
             match kind_of_string k with
@@ -265,7 +259,9 @@ let merge_point g pj =
     else begin
       let descr = List.filter_map Fun.id descr in
       let at_least =
-        match int_field "at_least" pj with Some a when a >= 1 -> a | _ -> 1
+        match Json.int_field "at_least" pj with
+        | Some a when a >= 1 -> a
+        | _ -> 1
       in
       let p = point g name ~at_least (List.map fst descr) in
       if Array.length p.pt_bins <> List.length descr then
@@ -273,13 +269,13 @@ let merge_point g pj =
       else begin
         List.iteri (fun i (_, hits) -> p.pt_hits.(i) <- p.pt_hits.(i) + hits)
           descr;
-        (match int_field "illegal_hits" pj with
+        (match Json.int_field "illegal_hits" pj with
         | Some n -> p.pt_illegal <- p.pt_illegal + n
         | None -> ());
-        (match int_field "misses" pj with
+        (match Json.int_field "misses" pj with
         | Some n -> p.pt_misses <- p.pt_misses + n
         | None -> ());
-        (match int_field "samples" pj with
+        (match Json.int_field "samples" pj with
         | Some n -> p.pt_samples <- p.pt_samples + n
         | None -> ());
         Ok ()
@@ -294,7 +290,7 @@ let merge j =
     | Some (Json.List gs) ->
       List.fold_left
         (fun acc gj ->
-          match (str_field "name" gj, Json.field "points" gj) with
+          match (Json.string_field "name" gj, Json.field "points" gj) with
           | Some gname, Some (Json.List ps) ->
             let g = group gname in
             List.fold_left

@@ -278,7 +278,19 @@ let field name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
+let string_field name v =
+  match field name v with Some (String s) -> Some s | _ -> None
+
+let int_field name v =
+  match field name v with Some (Int i) -> Some i | _ -> None
+
+let float_field name v =
+  match field name v with
+  | Some (Float f) -> Some f
+  | Some (Int i) -> Some (float_of_int i)
+  | _ -> None
+
 let envelope_of v =
-  match (field "schema" v, field "version" v) with
-  | Some (String schema), Some (Int version) -> Some (schema, version)
+  match (string_field "schema" v, int_field "version" v) with
+  | Some schema, Some version -> Some (schema, version)
   | _ -> None

@@ -42,6 +42,14 @@ val field : string -> t -> t option
 (** [field name v] is the value of field [name] when [v] is an [Obj]
     carrying it, [None] otherwise. *)
 
+val string_field : string -> t -> string option
+val int_field : string -> t -> int option
+(** Typed {!field} readers: [None] when the field is absent or has
+    another type. *)
+
+val float_field : string -> t -> float option
+(** A numeric field as a float: an [Int] reads as its value. *)
+
 val envelope_of : t -> (string * int) option
 (** [(schema, version)] when the value is an object carrying the common
     envelope — a [String] ["schema"] and an [Int] ["version"] field. *)

@@ -64,7 +64,7 @@ type 'r completion = {
   c_job : int;
   c_domain : int;
   c_outcome : 'r Pool.outcome;
-  c_telemetry : Json.t option;
+  c_telemetry : Json.t;
 }
 
 type 'r cq = {
@@ -91,10 +91,8 @@ let announce_exit q =
 (* One job on a worker domain: isolate all three observability sinks so
    the job records a clean delta (the in-process analogue of the fork
    child's reset-then-ship), run the job under the error taxonomy's
-   guard, snapshot, release.  Isolation is unconditional even with
-   telemetry off — without it, concurrent jobs would race on the global
-   registries. *)
-let run_job ~telemetry f x =
+   guard, snapshot, release. *)
+let run_job f x =
   Metrics.isolate_domain ();
   Trace.isolate_domain ();
   Coverage.isolate_domain ();
@@ -109,22 +107,16 @@ let run_job ~telemetry f x =
         | o -> o
         | exception e -> Error (Dfv_error.Internal (Printexc.to_string e))
       in
-      let telem =
-        if telemetry then
-          Some
-            (Json.Obj
-               [ ("metrics", Metrics.domain_snapshot ());
-                 ("trace", Trace.domain_export ());
-                 ("coverage", Coverage.domain_snapshot ()) ])
-        else None
-      in
-      (outcome, telem))
+      ( outcome,
+        Json.Obj
+          [ ("metrics", Metrics.domain_snapshot ());
+            ("trace", Trace.domain_export ());
+            ("coverage", Coverage.domain_snapshot ()) ] ))
 
 (* --- the executor ------------------------------------------------------- *)
 
-let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
-    ~(conclusive : (r -> bool) option) (f : a -> r) (inputs : a list) :
-    r Pool.race =
+let run (type a r) ?jobs ?on_result ~(conclusive : (r -> bool) option)
+    (f : a -> r) (inputs : a list) : r Pool.race =
   let jobs = match jobs with None -> Pool.cores () | Some j -> j in
   if jobs < 1 then invalid_arg "Dpool: jobs must be >= 1";
   let inputs = Array.of_list inputs in
@@ -145,12 +137,9 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
     let record c =
       if (not (Atomic.get cancel)) && outcomes.(c.c_job) = None then begin
         outcomes.(c.c_job) <- Some c.c_outcome;
-        (match c.c_telemetry with
-        | Some v ->
-          Pool.merge_telemetry
-            ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
-            ~job:c.c_job v
-        | None -> ());
+        Pool.merge_telemetry
+          ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
+          ~job:c.c_job c.c_telemetry;
         match on_result with
         | Some notify -> notify c.c_job c.c_outcome
         | None -> ()
@@ -158,22 +147,9 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
     in
     let check_winner () =
       match conclusive with
-      | Some is_conclusive when !winner = None ->
-        (* Lowest job index among the recorded conclusive results wins,
-           mirroring the fork pool's deterministic tie-break. *)
-        let best = ref None in
-        Array.iteri
-          (fun i o ->
-            match o with
-            | Some (Ok r) when is_conclusive r ->
-              if !best = None then best := Some (i, r)
-            | _ -> ())
-          outcomes;
-        (match !best with
-        | Some wn ->
-          winner := Some wn;
-          Atomic.set cancel true
-        | None -> ())
+      | Some conclusive when !winner = None ->
+        winner := Pool.winner_of ~conclusive outcomes;
+        if Option.is_some !winner then Atomic.set cancel true
       | _ -> ()
     in
     if w = 1 then begin
@@ -188,7 +164,7 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
       (try
          for j = 0 to n - 1 do
            if Atomic.get cancel || Pool.stop_requested () then raise Exit;
-           let outcome, telem = run_job ~telemetry f inputs.(j) in
+           let outcome, telem = run_job f inputs.(j) in
            record
              { c_job = j; c_domain = did; c_outcome = outcome;
                c_telemetry = telem };
@@ -244,7 +220,7 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
                 match next_job k with
                 | None -> ()
                 | Some j ->
-                  let outcome, telem = run_job ~telemetry f inputs.(j) in
+                  let outcome, telem = run_job f inputs.(j) in
                   push_completion q
                     { c_job = j; c_domain = did; c_outcome = outcome;
                       c_telemetry = telem };
@@ -277,25 +253,11 @@ let run (type a r) ?jobs ?label:_ ?(telemetry = true) ?on_result
     { Pool.winner = !winner; outcomes }
   end
 
-let map ?jobs ?label ?telemetry ?on_result f inputs =
-  let lbl = label in
-  let r = run ?jobs ?label ?telemetry ?on_result ~conclusive:None f inputs in
-  let label = match lbl with Some l -> l | None -> string_of_int in
-  Array.to_list r.Pool.outcomes
-  |> List.mapi (fun i o ->
-         match o with
-         | Some o -> o
-         | None ->
-           if Pool.stop_requested () then
-             Error (Dfv_error.Interrupted { job = label i })
-           else
-             Error
-               (Dfv_error.Worker_crashed
-                  { job = label i; detail = "job never completed" }))
+let map ?jobs ?label ?on_result f inputs =
+  run ?jobs ?on_result ~conclusive:None f inputs |> Pool.outcomes_of_race ?label
 
-let race ?jobs ?label ?telemetry ?on_result ~conclusive f inputs =
-  run ?jobs ?label ?telemetry ?on_result ~conclusive:(Some conclusive) f
-    inputs
+let race ?jobs ?on_result ~conclusive f inputs =
+  run ?jobs ?on_result ~conclusive:(Some conclusive) f inputs
 
 (* --- adaptive dispatch -------------------------------------------------- *)
 
@@ -304,25 +266,19 @@ let race ?jobs ?label ?telemetry ?on_result ~conclusive f inputs =
    relative to the work and fork keeps its crash/timeout guarantees. *)
 let short_job_threshold = 0.25
 
-type hint = [ `Short | `Long ]
-
 let note = function
   | `Fork -> Metrics.incr m_exec_fork
   | `Domains -> Metrics.incr m_exec_domains
 
-(* Static policy, applied when no probe is possible or wanted: a
-   timeout needs preemptive kill (fork only); an explicit cost hint
-   decides directly — except that the fork preference yields once the
-   process has spawned domains (the one-way door above); otherwise a
-   single core means fork can only lose (same serial work plus fork +
-   serialization per job). *)
-let choose_static ~timeout ~hint =
-  match (timeout, hint) with
-  | Some _, _ -> Some `Fork
-  | None, Some `Long ->
-    Some (if fork_available () then `Fork else `Domains)
-  | None, Some `Short -> Some `Domains
-  | None, None ->
+(* Static policy, applied before any probe: a timeout needs preemptive
+   kill (fork only); otherwise a single core means fork can only lose
+   (same serial work plus fork + serialization per job), and a process
+   that has spawned domains can no longer fork (the one-way door above).
+   [None] leaves the choice to the caller's measurement or default. *)
+let choose_static ~timeout =
+  match timeout with
+  | Some _ -> Some `Fork
+  | None ->
     if Pool.cores () = 1 || not (fork_available ()) then Some `Domains
     else None
 
@@ -334,24 +290,21 @@ let require_no_timeout timeout =
        cannot be killed preemptively)"
   | None -> ()
 
-let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
-    ?on_result ?hint ~(exec : Pool.exec_mode)
-    ~(encode : r -> Json.t) ~(decode : Json.t -> (r, string) result)
-    (f : a -> r) (inputs : a list) : r Pool.outcome list =
+let map_auto (type a r) ?jobs ?timeout ?label ?on_result
+    ~(exec : Pool.exec_mode) ~(encode : r -> Json.t)
+    ~(decode : Json.t -> (r, string) result) (f : a -> r) (inputs : a list) :
+    r Pool.outcome list =
   let fork ?label ?on_result inputs =
-    Pool.map ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
-      ~encode ~decode f inputs
+    Pool.map ?jobs ?timeout ?label ?on_result ~encode ~decode f inputs
   in
-  let domains ?label ?on_result inputs =
-    map ?jobs ?label ?telemetry ?on_result f inputs
-  in
+  let domains ?label ?on_result inputs = map ?jobs ?label ?on_result f inputs in
   match exec with
   | `Fork -> fork ?label ?on_result inputs
   | `Domains ->
     require_no_timeout timeout;
     domains ?label ?on_result inputs
   | `Auto -> (
-    match choose_static ~timeout ~hint with
+    match choose_static ~timeout with
     | Some m ->
       note m;
       (match m with
@@ -393,30 +346,21 @@ let map_auto (type a r) ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry
         in
         o0 :: rest_outcomes))
 
-let race_auto ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
-    ?hint ~(exec : Pool.exec_mode) ~encode ~decode ~conclusive f inputs =
+let race_auto ?jobs ?label ?on_result ~(exec : Pool.exec_mode) ~encode
+    ~decode ~conclusive f inputs =
   let fork () =
-    Pool.race ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result
-      ~encode ~decode ~conclusive f inputs
+    Pool.race ?jobs ?label ?on_result ~encode ~decode ~conclusive f inputs
   in
-  let domains () =
-    race ?jobs ?label ?telemetry ?on_result ~conclusive f inputs
-  in
+  let domains () = race ?jobs ?on_result ~conclusive f inputs in
   match exec with
   | `Fork -> fork ()
-  | `Domains ->
-    require_no_timeout timeout;
-    domains ()
+  | `Domains -> domains ()
   | `Auto ->
     (* No inline probe for races: racing strategies are heterogeneous,
        so job 0's cost says nothing about the others — and running it
-       to completion first would forfeit the race.  Multi-core hosts
-       default to fork (isolation for long adversarial strategies)
-       unless the process has already spawned domains. *)
-    let m =
-      match choose_static ~timeout ~hint with
-      | Some m -> m
-      | None -> if fork_available () then `Fork else `Domains
-    in
+       to completion first would forfeit the race.  Unless the static
+       rule picks domains, races run on fork: a race on domains cannot
+       stop its losing strategy and waits for it to finish. *)
+    let m = Option.value (choose_static ~timeout:None) ~default:`Fork in
     note m;
     (match m with `Fork -> fork () | `Domains -> domains ())

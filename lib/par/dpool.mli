@@ -54,8 +54,8 @@
     executor therefore {e permanently} closes the fork pool for the
     process ({!fork_available} reports the door's state).  [`Auto]
     dispatch respects it — once a workload has run on domains, every
-    later [`Auto] decision resolves to domains, hints and probes
-    notwithstanding — but explicitly mixing [`Domains] then [`Fork] in
+    later [`Auto] decision without a timeout resolves to domains,
+    unprobed — but explicitly mixing [`Domains] then [`Fork] in
     one process is a caller error that the runtime rejects.  Order
     fork-pool work before domains work (the bench and test suites do),
     or pick one executor per process.
@@ -74,7 +74,6 @@ val fork_available : unit -> bool
 val map :
   ?jobs:int ->
   ?label:(int -> string) ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r Pool.outcome -> unit) ->
   ('a -> 'r) ->
   'a list ->
@@ -88,8 +87,6 @@ val map :
 
 val race :
   ?jobs:int ->
-  ?label:(int -> string) ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r Pool.outcome -> unit) ->
   conclusive:('r -> bool) ->
   ('a -> 'r) ->
@@ -102,10 +99,6 @@ val race :
 
 (** {2 Adaptive dispatch} *)
 
-type hint = [ `Short | `Long ]
-(** A caller's static estimate of per-job cost, when it has one (mutant
-    class, BMC frame depth). *)
-
 val short_job_threshold : float
 (** Measured first-job cost (seconds) at or below which [`Auto]
     dispatch prefers domains. *)
@@ -113,12 +106,8 @@ val short_job_threshold : float
 val map_auto :
   ?jobs:int ->
   ?timeout:float ->
-  ?heartbeat:float ->
   ?label:(int -> string) ->
-  ?retry:Pool.retry ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  ?hint:hint ->
   exec:Pool.exec_mode ->
   encode:('r -> Dfv_obs.Json.t) ->
   decode:(Dfv_obs.Json.t -> ('r, string) result) ->
@@ -128,27 +117,20 @@ val map_auto :
 (** {!Pool.map} or {!map}, selected by [exec].  [`Fork] and [`Domains]
     dispatch directly ([`Domains] with a [timeout] is an
     [Invalid_argument] — a domain cannot be killed).  [`Auto] applies
-    the policy: a [timeout] or [`Long] hint forces fork; a [`Short]
-    hint or a single-core host forces domains; otherwise job 0 runs
-    inline as a timed probe and the rest go to domains iff it finished
-    within {!short_job_threshold}.  Once {!fork_available} is false,
-    every decision except a [timeout]'s resolves to domains.  The
-    probe's outcome is returned at
-    index 0 as usual (without fork isolation — the one job [`Auto] runs
-    natively).  Auto decisions are counted as [pool.exec.fork] /
-    [pool.exec.domains]; explicit modes are not, so telemetry parity
-    across executors holds.  Fork-only parameters ([heartbeat],
-    [retry], [encode]/[decode]) are unused on the domains path. *)
+    the policy: a [timeout] forces fork; a single-core host, or a
+    process where {!fork_available} is false, takes domains without
+    probing; otherwise job 0 runs inline as a timed probe and the rest
+    go to domains iff it finished within {!short_job_threshold}.  The
+    probe's outcome is returned at index 0 as usual (without fork
+    isolation — the one job [`Auto] runs natively).  Auto decisions are
+    counted as [pool.exec.fork] / [pool.exec.domains]; explicit modes
+    are not, so telemetry parity across executors holds.
+    [encode]/[decode] are unused on the domains path. *)
 
 val race_auto :
   ?jobs:int ->
-  ?timeout:float ->
-  ?heartbeat:float ->
   ?label:(int -> string) ->
-  ?retry:Pool.retry ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  ?hint:hint ->
   exec:Pool.exec_mode ->
   encode:('r -> Dfv_obs.Json.t) ->
   decode:(Dfv_obs.Json.t -> ('r, string) result) ->
@@ -156,8 +138,9 @@ val race_auto :
   ('a -> 'r) ->
   'a list ->
   'r Pool.race
-(** {!Pool.race} or {!race}, selected like {!map_auto} except that
-    [`Auto] never probes (racing strategies are heterogeneous, and
-    running one to completion first would forfeit the race): without a
-    deciding [timeout]/[hint], multi-core hosts race on fork,
-    single-core hosts on domains. *)
+(** {!Pool.race} or {!race}, selected by [exec].  [`Auto] never probes
+    (racing strategies are heterogeneous, and running one to completion
+    first would forfeit the race): a single-core host, or a process where
+    {!fork_available} is false, races on domains; otherwise the race
+    runs on fork, because a race on domains cannot stop its losing
+    strategy and waits for it.  Counted like {!map_auto}. *)

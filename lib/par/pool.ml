@@ -32,26 +32,16 @@ let exec_mode_to_string = function
   | `Domains -> "domains"
   | `Auto -> "auto"
 
-let exec_mode_of_string = function
-  | "fork" -> Some `Fork
-  | "domains" -> Some `Domains
-  | "auto" -> Some `Auto
-  | _ -> None
-
 (* --- transient-failure retry ------------------------------------------- *)
 
-type retry = {
-  attempts : int;
-  backoff : float;
-  max_backoff : float;
-  retry_timeouts : bool;
-}
-
-let default_retry =
-  { attempts = 2; backoff = 0.05; max_backoff = 2.0; retry_timeouts = false }
-
-let no_retry =
-  { attempts = 0; backoff = 0.0; max_backoff = 0.0; retry_timeouts = false }
+(* The fixed retry policy: a job whose failure is transient (a crash,
+   see {!Dfv_error.transient}) gets up to [retry_attempts] more attempts,
+   the k-th after [retry_backoff * 2^k] seconds capped at
+   [retry_max_backoff].  A timeout is not transient: the same job under
+   the same budget times out again. *)
+let retry_attempts = 2
+let retry_backoff = 0.05
+let retry_max_backoff = 2.0
 
 let m_retry_attempts = Metrics.counter "pool.retry.attempts"
 let m_retry_healed = Metrics.counter "pool.retry.healed"
@@ -76,6 +66,34 @@ type 'r race = {
   winner : (int * 'r) option;
   outcomes : 'r outcome option array;
 }
+
+(* The race rule both executors share: the lowest job index among the
+   recorded conclusive results wins, so a photo finish is deterministic. *)
+let winner_of ~conclusive outcomes =
+  let rec scan i =
+    if i >= Array.length outcomes then None
+    else
+      match outcomes.(i) with
+      | Some (Ok r) when conclusive r -> Some (i, r)
+      | _ -> scan (i + 1)
+  in
+  scan 0
+
+(* A map is a race without a conclusive predicate, so an outcome left
+   [None] is a job the stop flag kept from finishing. *)
+let outcomes_of_race ?(label = string_of_int) r =
+  Array.to_list r.outcomes
+  |> List.mapi (fun i o ->
+         match o with
+         | Some o -> o
+         | None ->
+           if stop_requested () then
+             Error (Dfv_error.Interrupted { job = label i })
+           else
+             (* Unreachable without cancellation, but total. *)
+             Error
+               (Dfv_error.Worker_crashed
+                  { job = label i; detail = "job never completed" }))
 
 (* --- wire protocol ----------------------------------------------------- *)
 
@@ -116,7 +134,7 @@ let write_all fd s =
    below the runtime stops beating — which is exactly the signal the
    parent wants).  The timer is disarmed before the result is written so
    a heartbeat can never tear the result line. *)
-let child ~heartbeat ~job ~fd ~telemetry f x encode =
+let child ~heartbeat ~job ~fd f x encode =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Sys.set_signal Sys.sigalrm
     (Sys.Signal_handle (fun _ -> write_all fd (heartbeat_line job)));
@@ -127,11 +145,9 @@ let child ~heartbeat ~job ~fd ~telemetry f x encode =
      Zero them (and re-install a fresh sink under this pid/epoch) so the
      telemetry shipped at job end is this job's pure delta — the parent
      merges deltas, never absolute copies of its own state. *)
-  if telemetry then begin
-    Metrics.reset ();
-    if Trace.enabled () then Trace.enable ();
-    Coverage.reset ()
-  end;
+  Metrics.reset ();
+  if Trace.enabled () then Trace.enable ();
+  Coverage.reset ();
   let out =
     match Dfv_error.guard (fun () -> encode (f x)) with
     | Ok payload -> result_line job payload
@@ -141,7 +157,7 @@ let child ~heartbeat ~job ~fd ~telemetry f x encode =
   in
   ignore
     (Unix.setitimer Unix.ITIMER_REAL { Unix.it_value = 0.0; it_interval = 0.0 });
-  if telemetry then write_all fd (telemetry_line job);
+  write_all fd (telemetry_line job);
   write_all fd out;
   Unix._exit 0
 
@@ -209,8 +225,7 @@ let merge_telemetry ?label ~job v =
   Metrics.incr m_telemetry_shipped;
   if !saw_error then Metrics.incr m_telemetry_errors
 
-let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
-    ?(retry = default_retry) ?(telemetry = true) ?on_result
+let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label ?on_result
     ~(encode : r -> Json.t)
     ~(decode : Json.t -> (r, string) result)
     ~(conclusive : (r -> bool) option) (f : a -> r) (inputs : a list) :
@@ -233,17 +248,13 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
   (* Jobs awaiting a retry slot: (not-before time, job index). *)
   let pending = ref [] in
   let now () = Unix.gettimeofday () in
-  let retryable = function
-    | Dfv_error.Worker_timeout _ -> retry.retry_timeouts
-    | e -> Dfv_error.transient e
-  in
   (* Exponential backoff with deterministic jitter: the k-th retry of
      job [j] waits backoff * 2^k (capped), scaled into [0.5, 1.0) by a
      pure function of (j, k) — spread without a global RNG, so two runs
      of the same campaign schedule identically. *)
   let retry_delay job k =
     let base =
-      Float.min retry.max_backoff (retry.backoff *. (2.0 ** float_of_int k))
+      Float.min retry_max_backoff (retry_backoff *. (2.0 ** float_of_int k))
     in
     let jitter = float_of_int (job_seed ~seed:k job land 1023) /. 2048.0 in
     base *. (0.5 +. jitter)
@@ -260,7 +271,7 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
          write ends, which the parent closed after each earlier fork). *)
       Hashtbl.iter (fun fd _ -> try Unix.close fd with Unix.Unix_error _ -> ())
         live;
-      child ~heartbeat ~job:i ~fd:wr ~telemetry f inputs.(i) encode
+      child ~heartbeat ~job:i ~fd:wr f inputs.(i) encode
     | pid ->
       Unix.close wr;
       let t = now () in
@@ -283,7 +294,7 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
     | None -> ());
     if tries.(w.job) > 0 then
       (match outcome with
-      | Error e when retryable e -> Metrics.incr m_retry_exhausted
+      | Error e when Dfv_error.transient e -> Metrics.incr m_retry_exhausted
       | Ok _ | Error _ -> Metrics.incr m_retry_healed);
     match on_result with Some notify -> notify w.job outcome | None -> ()
   in
@@ -294,8 +305,8 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
     if outcomes.(w.job) = None then
       match outcome with
       | Error e
-        when retryable e
-             && tries.(w.job) < retry.attempts
+        when Dfv_error.transient e
+             && tries.(w.job) < retry_attempts
              && (not !cancelled)
              && not (stop_requested ()) ->
         tries.(w.job) <- tries.(w.job) + 1;
@@ -511,26 +522,13 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
                                  (t -. w.last_beat);
                            }))
              end);
-      (* Portfolio cancellation: the lowest job index among this round's
-         conclusive results wins; everyone else is cancelled. *)
+      (* Portfolio cancellation: once a winner emerges, everyone else
+         is cancelled. *)
       match conclusive with
-      | None -> ()
-      | Some is_conclusive ->
-        if !winner = None then begin
-          let best = ref None in
-          Array.iteri
-            (fun i o ->
-              match o with
-              | Some (Ok r) when is_conclusive r ->
-                if !best = None then best := Some (i, r)
-              | _ -> ())
-            outcomes;
-          match !best with
-          | Some w ->
-            winner := Some w;
-            cancel_rest ()
-          | None -> ()
-        end
+      | Some conclusive when !winner = None ->
+        winner := winner_of ~conclusive outcomes;
+        if Option.is_some !winner then cancel_rest ()
+      | _ -> ()
     end
     else if !pending <> [] && not (stop_requested ()) then begin
       (* Nothing live, only backoffs pending: sleep until the earliest
@@ -550,27 +548,12 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label
   end;
   { winner = !winner; outcomes }
 
-let map ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result ~encode
-    ~decode f inputs =
-  let lbl = label in
-  let r =
-    run ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result ~encode
-      ~decode ~conclusive:None f inputs
-  in
-  let label = match lbl with Some l -> l | None -> string_of_int in
-  Array.to_list r.outcomes
-  |> List.mapi (fun i o ->
-         match o with
-         | Some o -> o
-         | None ->
-           if stop_requested () then Error (Dfv_error.Interrupted { job = label i })
-           else
-             (* Unreachable in map mode (no cancellation), but total. *)
-             Error
-               (Dfv_error.Worker_crashed
-                  { job = label i; detail = "job never completed" }))
+let map ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode f inputs =
+  run ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
+    ~conclusive:None f inputs
+  |> outcomes_of_race ?label
 
-let race ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result ~encode
-    ~decode ~conclusive f inputs =
-  run ?jobs ?timeout ?heartbeat ?label ?retry ?telemetry ?on_result ~encode
-    ~decode ~conclusive:(Some conclusive) f inputs
+let race ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
+    ~conclusive f inputs =
+  run ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
+    ~conclusive:(Some conclusive) f inputs

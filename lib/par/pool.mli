@@ -33,15 +33,17 @@
     A worker failure the taxonomy classes as possibly transient
     ({!Dfv_core.Dfv_error.transient} — a crash, which may be OOM
     pressure or a stray signal rather than a property of the job) is
-    retried with exponential backoff and deterministic jitter before
-    the failure is recorded; a deterministic crash exhausts its retry
-    budget and stays [Worker_crashed].  Retry traffic is visible in the
+    retried before the failure is recorded, under one fixed policy: up
+    to 2 more attempts, exponential backoff from 50 ms capped at 2 s,
+    with deterministic jitter.  A timeout is never retried, and a
+    deterministic crash exhausts its attempts and stays
+    [Worker_crashed].  Retry traffic is visible in the
     {!Dfv_obs.Metrics} registry as [pool.retry.attempts] /
     [pool.retry.healed] / [pool.retry.exhausted].
 
     {2 Telemetry}
 
-    Observability is fork-transparent by default: each worker zeroes its
+    Observability is fork-transparent, always: each worker zeroes its
     inherited {!Dfv_obs.Metrics} / {!Dfv_obs.Trace} /
     {!Dfv_obs.Coverage} state at job start and ships the job's deltas
     back as one extra [kind:"telemetry"] protocol line just before its
@@ -52,8 +54,7 @@
     and tagged with the job index — so retried attempts and journal-
     replayed jobs (which never run) are never double-counted.  Shipping
     volume is visible as [pool.telemetry.shipped], merge failures as
-    [pool.telemetry.errors]; pass [~telemetry:false] to turn the whole
-    mechanism off. *)
+    [pool.telemetry.errors]. *)
 
 val cores : unit -> int
 (** Number of CPU cores available to this process (>= 1). *)
@@ -72,12 +73,11 @@ type exec_mode = [ `Fork | `Domains | `Auto ]
 (** Which executor runs a parallel workload: this fork pool ([`Fork],
     crash isolation and preemptive timeouts), the in-process
     {!Dpool} ([`Domains], no fork or pipe cost — wins on short jobs),
-    or adaptive selection ([`Auto], see {!Dpool.choose_exec}).  The
+    or adaptive selection ([`Auto], see {!Dpool.map_auto}).  The
     type lives here so callers can name it without depending on the
     domains executor. *)
 
 val exec_mode_to_string : exec_mode -> string
-val exec_mode_of_string : string -> exec_mode option
 
 val merge_telemetry : ?label:string -> job:int -> Dfv_obs.Json.t -> unit
 (** Merge one worker's shipped telemetry payload (the
@@ -86,23 +86,6 @@ val merge_telemetry : ?label:string -> job:int -> Dfv_obs.Json.t -> unit
     [pool.telemetry.errors].  [label] names the worker's trace lane
     (default ["dfv worker <pid>"]).  Exposed for {!Dpool}; merge
     failures are observable but never raise. *)
-
-type retry = {
-  attempts : int;  (** extra attempts per job after the first failure *)
-  backoff : float;  (** base delay in seconds before the first retry *)
-  max_backoff : float;  (** cap on the exponential delay *)
-  retry_timeouts : bool;
-      (** whether [Worker_timeout] is retried too; off by default — the
-          same job under the same budget deterministically times out
-          again *)
-}
-
-val default_retry : retry
-(** [{ attempts = 2; backoff = 0.05; max_backoff = 2.0;
-      retry_timeouts = false }]. *)
-
-val no_retry : retry
-(** [attempts = 0]: every failure is final (the pre-retry behaviour). *)
 
 val job_seed : seed:int -> int -> int
 (** [job_seed ~seed i] mixes the campaign seed with job index [i] into
@@ -116,8 +99,6 @@ val map :
   ?timeout:float ->
   ?heartbeat:float ->
   ?label:(int -> string) ->
-  ?retry:retry ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r outcome -> unit) ->
   encode:('r -> Dfv_obs.Json.t) ->
   decode:(Dfv_obs.Json.t -> ('r, string) result) ->
@@ -131,23 +112,20 @@ val map :
     forks, so crash isolation and the timeout apply identically — only
     parallelism changes).  [timeout] is the per-job wall-clock budget in
     seconds (default: none); an expired job is SIGKILLed and reported as
-    [Error (Worker_timeout _)].  [heartbeat] (default 0.5s) sets the
-    worker heartbeat period; a worker silent for 20 heartbeat periods is
-    presumed wedged below the OCaml runtime (stuck in a blocking call)
-    and reported as [Error (Worker_crashed _)].  [label] names job [i]
-    in error values (default: its index).
+    [Error (Worker_timeout _)].  [heartbeat] (default 0.5s; tests
+    shorten it) sets the worker heartbeat period; a worker silent for 20
+    heartbeat periods is presumed wedged below the OCaml runtime (stuck
+    in a blocking call) and reported as [Error (Worker_crashed _)].
+    [label] names job [i] in error values (default: its index).
 
     [encode]/[decode] carry the result across the pipe; a worker whose
     payload fails to decode is a [Worker_crashed] (protocol damage, same
     class as a torn write).
 
-    [retry] (default {!default_retry}) bounds the transient-failure
-    retry loop per job.  [telemetry] (default [true]) controls worker
-    observability shipping — see {e Telemetry} above.  [on_result] is
-    invoked in the {e parent}, in
-    completion order, each time a job's outcome becomes final (after
-    any retries) — the hook durable campaigns use to append to their
-    {!Journal} as results arrive rather than at the end.
+    [on_result] is invoked in the {e parent}, in completion order, each
+    time a job's outcome becomes final (after any retries) — the hook
+    durable campaigns use to append to their {!Journal} as results
+    arrive rather than at the end.
 
     If {!request_stop} fires mid-run, unfinished jobs come back as
     [Error (Interrupted _)] (and are never passed to [on_result]). *)
@@ -166,8 +144,6 @@ val race :
   ?timeout:float ->
   ?heartbeat:float ->
   ?label:(int -> string) ->
-  ?retry:retry ->
-  ?telemetry:bool ->
   ?on_result:(int -> 'r outcome -> unit) ->
   encode:('r -> Dfv_obs.Json.t) ->
   decode:(Dfv_obs.Json.t -> ('r, string) result) ->
@@ -181,3 +157,16 @@ val race :
     several workers conclude in the same [select] round the lowest job
     index wins, so ties are broken deterministically.  If no job
     concludes, [winner = None] and every outcome is filled in. *)
+
+(** {2 Shared with {!Dpool}} *)
+
+val winner_of :
+  conclusive:('r -> bool) -> 'r outcome option array -> (int * 'r) option
+(** The race rule of both executors: the lowest-indexed recorded
+    outcome that is [Ok r] with [conclusive r], if any. *)
+
+val outcomes_of_race : ?label:(int -> string) -> 'r race -> 'r outcome list
+(** A map's result: the race's outcomes in input order, each job left
+    [None] reported as [Error (Interrupted _)] when {!request_stop} has
+    fired (and as [Worker_crashed] otherwise, which a map without
+    cancellation never produces). *)

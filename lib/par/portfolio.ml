@@ -1,6 +1,5 @@
 module Bitvec = Dfv_bitvec.Bitvec
 module Solver = Dfv_sat.Solver
-module Sim = Dfv_rtl.Sim
 module Interp = Dfv_hwir.Interp
 module Checker = Dfv_sec.Checker
 module Session = Dfv_sec.Session
@@ -39,21 +38,14 @@ let stats_to_json (s : Checker.stats) =
 
 let ( let* ) = Result.bind
 
-let int_field v name =
-  match Json.field name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" name)
+let required kind read v name =
+  match read name v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing %s field %S" kind name)
 
-let float_field v name =
-  match Json.field name v with
-  | Some (Json.Float f) -> Ok f
-  | Some (Json.Int i) -> Ok (float_of_int i)
-  | _ -> Error (Printf.sprintf "missing float field %S" name)
-
-let string_field v name =
-  match Json.field name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
+let int_field = required "int" Json.int_field
+let float_field = required "float" Json.float_field
+let string_field = required "string" Json.string_field
 
 let stats_of_json v : (Checker.stats, string) result =
   let* aig_ands = int_field v "aig_ands" in
@@ -269,25 +261,15 @@ let slm_wire_category = function
   | Ok (W_unknown _) -> "unknown"
   | Error _ -> "failed"
 
-let check_slm_rtl ?jobs ?timeout ?budget ?journal ?(progress = false)
+let check_slm_rtl ?jobs ?budget ?journal ?(progress = false)
     ?(exec = (`Fork : Pool.exec_mode)) ~slm ~rtl ~spec () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_slm_rtl" @@ fun () ->
   let strategies = [ ("sweep", true); ("direct", false) ] in
   let run (_, sweep) =
-    match Checker.check_slm_rtl ~sweep ?budget ~slm ~rtl ~spec () with
-    | Checker.Equivalent stats -> W_equivalent stats
-    | Checker.Not_equivalent (cex, stats) ->
-      W_not_equivalent (cex.Checker.params, stats)
-    | Checker.Unknown (r, stats) -> W_unknown (r, stats)
+    slm_wire_of_verdict
+      (Checker.check_slm_rtl ~sweep ?budget ~slm ~rtl ~spec ())
   in
-  let reconstruct = function
-    | W_equivalent stats -> Ok (Checker.Equivalent stats)
-    | W_not_equivalent (params, stats) ->
-      Ok
-        (Checker.Not_equivalent
-           (Checker.cex_of_params ~slm ~rtl ~spec params, stats))
-    | W_unknown (r, stats) -> Ok (Checker.Unknown (r, stats))
-  in
+  let reconstruct w = Ok (verdict_of_slm_wire ~slm ~rtl ~spec w) in
   (* The journal is bound to the structural content of the query — the
      program, the elaborated netlist, the spec (its drives tabulated)
      and the solver budget — so a replayed verdict is trusted exactly
@@ -360,7 +342,7 @@ let check_slm_rtl ?jobs ?timeout ?budget ?journal ?(progress = false)
           | _ -> ()
         in
         let r =
-          Dpool.race_auto ~exec ?jobs ?timeout
+          Dpool.race_auto ~exec ?jobs
             ~label:(fun i -> "sec:" ^ fst missing_arr.(i))
             ~on_result ~encode:slm_wire_to_json ~decode:slm_wire_of_json
             ~conclusive:slm_conclusive run missing
@@ -514,29 +496,6 @@ let frame_wire_of_json v =
            stats ))
   | k -> Error (Printf.sprintf "unknown frame verdict %S" k)
 
-(* Same re-simulation the sequential checker performs on a SAT model
-   (its [find_divergence] is private); walks both designs on the shared
-   concrete inputs until an output differs. *)
-let find_divergence a b inputs_per_cycle =
-  let sim_a = Sim.create a and sim_b = Sim.create b in
-  let n = Array.length inputs_per_cycle in
-  let rec go t =
-    if t >= n then None
-    else begin
-      let outs_a = Sim.cycle sim_a inputs_per_cycle.(t) in
-      let outs_b = Sim.cycle sim_b inputs_per_cycle.(t) in
-      let diff =
-        List.find_opt
-          (fun (name, va) -> not (Bitvec.equal va (List.assoc name outs_b)))
-          outs_a
-      in
-      match diff with
-      | Some (name, va) -> Some (t, name, va, List.assoc name outs_b)
-      | None -> go (t + 1)
-    end
-  in
-  go 0
-
 (* Decide one frame of the product machine in a private session.  Frame
    miters are independent — the sequential checker's blocking clauses
    are an optimization, not a soundness requirement — so [Sat] here is a
@@ -564,7 +523,7 @@ let check_frame ~budget ~a ~b t =
           List.map (fun (n, w) -> (n, Session.model_word session w)) inputs)
         (Array.sub all 0 (min (t + 1) (Array.length all)))
     in
-    match find_divergence a b concrete with
+    match Checker.find_divergence a b concrete with
     | Some (t, port, va, vb) ->
       F_sat
         ( {
@@ -577,40 +536,20 @@ let check_frame ~budget ~a ~b t =
           { (Session.stats session) with wall_seconds = now () -. t0 } )
     | None -> failwith "internal: SAT model did not re-simulate to a divergence")
 
-let frame_wire_category = function
-  | Ok (F_unsat _) -> "unsat"
-  | Ok (F_sat _) -> "cex"
-  | Ok (F_unknown _) -> "unknown"
-  | Error _ -> "failed"
-
-let check_rtl_rtl ?jobs ?timeout ?budget ?(progress = false)
-    ?(exec = (`Fork : Pool.exec_mode)) ~a ~b ~bound () =
+let check_rtl_rtl ?jobs ?timeout ?budget ~a ~b ~bound () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_rtl_rtl" @@ fun () ->
   if bound < 1 then
     Error (Dfv_error.Spec_violation "bound must be >= 1")
   else begin
     let t0 = now () in
     let frames = List.init bound (fun t -> t) in
-    let reporter =
-      if progress then Progress.create ~label:"sec bmc" ~total:bound ()
-      else None
-    in
-    let on_result _ outcome =
-      match reporter with
-      | Some p -> Progress.step p (frame_wire_category outcome)
-      | None -> ()
-    in
-    (* Shallow frame miters are short jobs (the fork tax dominates);
-       deep unrollings earn fork isolation under [`Auto]. *)
-    let hint = if bound <= 8 then Some `Short else None in
     let r =
-      Dpool.race_auto ~exec ?hint ?jobs ?timeout
+      Pool.race ?jobs ?timeout
         ~label:(Printf.sprintf "bmc:frame%d")
-        ~on_result ~encode:frame_wire_to_json ~decode:frame_wire_of_json
+        ~encode:frame_wire_to_json ~decode:frame_wire_of_json
         ~conclusive:(function F_sat _ -> true | _ -> false)
         (check_frame ~budget ~a ~b) frames
     in
-    (match reporter with Some p -> Progress.finish p | None -> ());
     let stats_of_outcomes () =
       Array.fold_left
         (fun acc o ->

@@ -1,6 +1,7 @@
 (** Portfolio SEC: equivalence checks raced across worker processes.
 
-    Two parallelization shapes, both built on {!Pool.race}:
+    Two parallelization shapes, both built on {!Pool.race}
+    ({!check_slm_rtl} through {!Dpool.race_auto}):
 
     - {!check_slm_rtl} races {e solving strategies} — the same
       SLM-vs-RTL query attempted with and without the SAT-sweeping
@@ -69,7 +70,6 @@ val slm_conclusive : slm_wire -> bool
 
 val check_slm_rtl :
   ?jobs:int ->
-  ?timeout:float ->
   ?budget:Dfv_sat.Solver.budget ->
   ?journal:string ->
   ?progress:bool ->
@@ -82,8 +82,7 @@ val check_slm_rtl :
 (** Race the sweeping and direct strategies on one SLM-vs-RTL query.
     First conclusive verdict wins; if every strategy returns [Unknown],
     the first strategy's [Unknown] is reported.  [Error] when every
-    strategy's worker crashed or timed out.  [timeout] is the per-worker
-    wall-clock budget in seconds; [budget] the per-query solver budget,
+    strategy's worker crashed.  [budget] is the per-query solver budget,
     as in {!Dfv_sec.Checker.check_slm_rtl}.
 
     [journal] (a file path) makes the race durable: the journal is
@@ -98,20 +97,19 @@ val check_slm_rtl :
     resumable code.  [progress] (default false) renders a live
     {!Progress} line per finished strategy on a TTY stderr.  [exec]
     (default [`Fork]) selects the racing executor — see
-    {!Dpool.race_auto}; [`Domains] with a [timeout] is an error. *)
+    {!Dpool.race_auto}. *)
 
 val check_rtl_rtl :
   ?jobs:int ->
   ?timeout:float ->
   ?budget:Dfv_sat.Solver.budget ->
-  ?progress:bool ->
-  ?exec:Pool.exec_mode ->
   a:Dfv_rtl.Netlist.elaborated ->
   b:Dfv_rtl.Netlist.elaborated ->
   bound:int ->
   unit ->
   (Dfv_sec.Checker.rtl_verdict, Dfv_core.Dfv_error.t) result
-(** BMC with frames [0..bound-1] sharded across workers.  Any [Sat]
+(** BMC with frames [0..bound-1] sharded across fork-pool workers
+    ({!Pool.race}).  Any [Sat]
     frame yields [Rtl_not_equivalent] (the verdict class is
     deterministic; which frame furnishes the counterexample may depend
     on scheduling).  Otherwise: any undecided frame (solver budget or
@@ -119,8 +117,4 @@ val check_rtl_rtl :
     [Rtl_equivalent_to_bound].  A crashed worker yields [Error] — a
     crash must not silently weaken an equivalence claim.  Solver
     statistics are summed across workers; [wall_seconds] is the
-    parent's elapsed time.  [progress] (default false) renders a live
-    {!Progress} line per decided frame on a TTY stderr.  [exec]
-    (default [`Fork]) selects the sharding executor; under [`Auto] a
-    shallow [bound] (<= 8) hints the frames short and prefers domains
-    — see {!Dpool.race_auto}. *)
+    parent's elapsed time. *)

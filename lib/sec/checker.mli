@@ -136,6 +136,16 @@ type rtl_verdict =
   | Rtl_unknown of Dfv_sat.Solver.reason * stats
       (** The budget ran out before some frame was decided. *)
 
+val find_divergence :
+  Dfv_rtl.Netlist.elaborated ->
+  Dfv_rtl.Netlist.elaborated ->
+  (string * Dfv_bitvec.Bitvec.t) list array ->
+  (int * string * Dfv_bitvec.Bitvec.t * Dfv_bitvec.Bitvec.t) option
+(** [find_divergence a b inputs_per_cycle] simulates both designs from
+    reset on the same concrete inputs and returns the first cycle, output
+    port and the two values where they differ, if any — how a SAT model
+    of a frame miter becomes an {!rtl_cex}. *)
+
 val check_rtl_rtl :
   ?budget:Dfv_sat.Solver.budget ->
   ?session:Session.t ->

@@ -106,17 +106,8 @@ let budget_to_json = function
 let budget_of_json = function
   | Json.Null -> Ok None
   | Json.Obj _ as v ->
-    let conflicts =
-      match Json.field "conflicts" v with
-      | Some (Json.Int c) -> Some c
-      | _ -> None
-    in
-    let seconds =
-      match Json.field "seconds" v with
-      | Some (Json.Float s) -> Some s
-      | Some (Json.Int s) -> Some (float_of_int s)
-      | _ -> None
-    in
+    let conflicts = Json.int_field "conflicts" v in
+    let seconds = Json.float_field "seconds" v in
     if conflicts = None && seconds = None then Ok None
     else Ok (Some { Solver.max_conflicts = conflicts; max_seconds = seconds })
   | _ -> Error "bad budget"
@@ -150,15 +141,13 @@ let request_to_json { id; op } =
 
 let ( let* ) = Result.bind
 
-let str_field v name =
-  match Json.field name v with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "missing string field %S" name)
+let required kind read v name =
+  match read name v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing %s field %S" kind name)
 
-let int_field v name =
-  match Json.field name v with
-  | Some (Json.Int i) -> Ok i
-  | _ -> Error (Printf.sprintf "missing int field %S" name)
+let str_field = required "string" Json.string_field
+let int_field = required "int" Json.int_field
 
 let int_field_default v name d =
   match Json.field name v with
@@ -274,10 +263,8 @@ let payload_of_json v =
     | _ -> Error "bad sim payload")
   | _, _, Some f, _, _, _ ->
     let* f_rate =
-      match Json.field "rate" f with
-      | Some (Json.Float r) -> Ok r
-      | Some (Json.Int r) -> Ok (float_of_int r)
-      | _ -> Error "faultsim payload without rate"
+      Option.to_result (Json.float_field "rate" f)
+        ~none:"faultsim payload without rate"
     in
     let* f_false_eq = int_field f "false_equivalents" in
     let* f_pass =
@@ -325,10 +312,7 @@ let response_of_json v =
       | _ -> Error "missing cached flag"
     in
     let* seconds =
-      match Json.field "seconds" v with
-      | Some (Json.Float s) -> Ok s
-      | Some (Json.Int s) -> Ok (float_of_int s)
-      | _ -> Error "missing seconds"
+      Option.to_result (Json.float_field "seconds" v) ~none:"missing seconds"
     in
     let* outcome =
       match (Json.field "result" v, Json.field "error" v) with

@@ -113,6 +113,36 @@ let test_worker_timeout () =
     Alcotest.(check bool) "budget recorded" true (seconds = 0.5)
   | _ -> Alcotest.fail "expected [Ok 0; Error Worker_timeout]"
 
+(* A worker wedged where no heartbeat can fire (SIGALRM ignored, blocked
+   in a sleep) is killed after 20 silent heartbeat periods.  The crash
+   counts as transient, so the job is retried, and once its retries are
+   used up the Worker_crashed stands. *)
+let test_heartbeat_kill () =
+  let attempts = Dfv_obs.Metrics.counter "pool.retry.attempts" in
+  let exhausted = Dfv_obs.Metrics.counter "pool.retry.exhausted" in
+  let attempts0 = Dfv_obs.Metrics.counter_value attempts in
+  let exhausted0 = Dfv_obs.Metrics.counter_value exhausted in
+  let out =
+    Pool.map ~jobs:1 ~heartbeat:0.05 ~encode:encode_int ~decode:decode_int
+      (fun x ->
+        Sys.set_signal Sys.sigalrm Sys.Signal_ignore;
+        Unix.sleepf 30.0;
+        x)
+      [ 0 ]
+  in
+  (match out with
+  | [ Error (Dfv_error.Worker_crashed { detail; _ }) ] ->
+    Alcotest.(check bool)
+      "detail names the missing heartbeat" true
+      (String.starts_with ~prefix:"no heartbeat" detail)
+  | _ -> Alcotest.fail "expected [Error Worker_crashed]");
+  Alcotest.(check int)
+    "both retries attempted" (attempts0 + 2)
+    (Dfv_obs.Metrics.counter_value attempts);
+  Alcotest.(check int)
+    "retries exhausted" (exhausted0 + 1)
+    (Dfv_obs.Metrics.counter_value exhausted)
+
 (* Race: the first conclusive result wins and the stragglers are
    cancelled (their outcomes stay None). *)
 let test_race_cancels () =
@@ -763,16 +793,15 @@ let exec_counters () =
   ( Metrics.counter_value (Metrics.counter "pool.exec.fork"),
     Metrics.counter_value (Metrics.counter "pool.exec.domains") )
 
-(* `Auto resolves to exactly one executor per call (counted only under
-   `Auto so explicit-mode runs keep byte-identical telemetry), and a
-   cost hint decides without probing.  Fork legs run first inside the
-   test: on a multicore host the domains legs spawn worker domains and
-   close the fork door for the process. *)
+(* `Auto resolves to exactly one executor per call, counted only under
+   `Auto so explicit-mode runs keep byte-identical telemetry.  Fork legs
+   run first inside the test: on a multicore host the domains legs spawn
+   worker domains and close the fork door for the process. *)
 let test_map_auto_dispatch () =
   let inputs = [ 1; 2; 3; 4 ] in
   let expected = List.map (fun x -> x * 2) inputs in
-  let run ?hint exec =
-    Dpool.map_auto ?hint ~exec ~encode:encode_int ~decode:decode_int
+  let run ?timeout exec inputs =
+    Dpool.map_auto ?timeout ~exec ~encode:encode_int ~decode:decode_int
       (fun x -> x * 2)
       inputs
     |> List.map ok
@@ -781,43 +810,53 @@ let test_map_auto_dispatch () =
     "fork door still open at test start" true (Dpool.fork_available ());
   (* fork legs *)
   let f0, d0 = exec_counters () in
-  Alcotest.(check (list int)) "long hint verdicts" expected (run ~hint:`Long `Auto);
+  Alcotest.(check (list int))
+    "timeout verdicts" expected (run ~timeout:30.0 `Auto inputs);
   let f1, _ = exec_counters () in
-  Alcotest.(check int) "long hint routed to fork" (f0 + 1) f1;
-  Alcotest.(check (list int)) "explicit fork verdicts" expected (run `Fork);
+  Alcotest.(check int) "timeout routed to fork" (f0 + 1) f1;
+  Alcotest.(check (list int)) "explicit fork verdicts" expected (run `Fork inputs);
   let f2, d2 = exec_counters () in
   Alcotest.(check int) "explicit fork uncounted" f1 f2;
   Alcotest.(check int) "no domains so far" d0 d2;
-  (* domains legs *)
-  Alcotest.(check (list int)) "auto verdicts" expected (run `Auto);
+  (* Two short jobs: job 0 is the probe and job 1 runs inline as a
+     one-worker pool, so no domain is spawned and the door stays open —
+     which keeps the serve daemon's small batches off worker domains. *)
+  Alcotest.(check (list int)) "two-job verdicts" [ 2; 4 ] (run `Auto [ 1; 2 ]);
   let f3, d3 = exec_counters () in
-  Alcotest.(check int) "auto resolved to exactly one executor" 1
-    (f3 - f2 + (d3 - d2));
-  Alcotest.(check (list int)) "short hint verdicts" expected (run ~hint:`Short `Auto);
-  let _, d4 = exec_counters () in
-  Alcotest.(check int) "short hint routed to domains" (d3 + 1) d4;
-  Alcotest.(check (list int)) "explicit domains verdicts" expected (run `Domains);
-  let f5, d5 = exec_counters () in
-  Alcotest.(check int) "explicit domains uncounted" d4 d5;
-  Alcotest.(check int) "no stray fork dispatch" f3 f5;
-  (* Whether the domains legs closed the fork door depends on the host:
-     a single-worker pool runs inline on the calling domain (no spawn),
-     so a 1-core host leaves the door open, while a multicore host
-     spawned real worker domains and slammed it.  Exercise whichever
-     side this host is on. *)
-  let f6, d6 = exec_counters () in
+  Alcotest.(check int) "short probe routed to domains" (d2 + 1) d3;
+  Alcotest.(check int) "short probe: no fork" f2 f3;
+  Alcotest.(check bool)
+    "two short jobs leave the fork door open" true (Dpool.fork_available ());
+  (* domains legs *)
   Alcotest.(check (list int))
-    "long hint after the domains legs" expected (run ~hint:`Long `Auto);
-  let f7, d7 = exec_counters () in
-  if Dpool.fork_available () then begin
-    (* inline single-worker pools never spawned a domain *)
-    Alcotest.(check int) "door open: long hint still buys fork" (f6 + 1) f7;
-    Alcotest.(check int) "door open: no stray domains" d6 d7
-  end
-  else begin
-    Alcotest.(check int) "sticky dispatch: no fork" f6 f7;
-    Alcotest.(check int) "sticky dispatch: domains" (d6 + 1) d7
-  end
+    "explicit domains verdicts" expected (run `Domains inputs);
+  let f4, d4 = exec_counters () in
+  Alcotest.(check int) "explicit domains uncounted" d3 d4;
+  Alcotest.(check int) "no stray fork dispatch" f3 f4;
+  (* A multicore host has now spawned worker domains, and [`Auto] must
+     take domains without probing: job 0 runs on a worker domain, not
+     inline on this one.  A 1-core host runs every pool inline and
+     never closes the door; its static rule routes to domains. *)
+  let caller = (Domain.self () :> int) in
+  let job0_domain = Atomic.make caller in
+  let out =
+    Dpool.map_auto ~exec:`Auto ~encode:encode_int ~decode:decode_int
+      (fun x ->
+        if x = 1 then Atomic.set job0_domain (Domain.self () :> int);
+        x * 2)
+      inputs
+    |> List.map ok
+  in
+  Alcotest.(check (list int)) "auto verdicts after the domains legs" expected out;
+  let f5, d5 = exec_counters () in
+  Alcotest.(check int) "routed to domains" (d4 + 1) d5;
+  Alcotest.(check int) "never to fork" f4 f5;
+  if Dpool.fork_available () then
+    Alcotest.(check int) "door open only on a 1-core host" 1 (Pool.cores ())
+  else
+    Alcotest.(check bool)
+      "door closed: job 0 not probed inline" true
+      (Atomic.get job0_domain <> caller)
 
 let test_domains_timeout_rejected () =
   Alcotest.check_raises "domains + timeout is a caller error"
@@ -844,6 +883,8 @@ let suite =
       test_worker_raises;
     Alcotest.test_case "slow worker becomes Worker_timeout" `Slow
       test_worker_timeout;
+    Alcotest.test_case "silent worker killed by the heartbeat clock" `Slow
+      test_heartbeat_kill;
     Alcotest.test_case "race cancels stragglers" `Slow test_race_cancels;
     Alcotest.test_case "race with no conclusive result" `Quick
       test_race_no_conclusive;

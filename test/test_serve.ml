@@ -334,8 +334,7 @@ let payload_exn r =
   | Ok p -> p
   | Error e -> Alcotest.failf "server error: %s" (Dfv_error.to_string e)
 
-let int_field v name =
-  match Json.field name v with Some (Json.Int i) -> i | _ -> -1
+let int_field v name = Option.value ~default:(-1) (Json.int_field name v)
 
 let endpoint_stats stats op =
   match Json.field "endpoints" stats with
