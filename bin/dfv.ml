@@ -526,22 +526,45 @@ let print_sim_wire = function
     Printf.printf "MISMATCH at transaction %d\n" vector_index;
     exit_cex
 
-(* One request-response against a daemon.  The cache-hit notice goes to
-   stderr so stdout stays diffable against the cold command. *)
-let client_call ~socket ~retries op k =
+(* One request-response against a daemon, printed the way the local
+   command prints the same result ([stats] for sec, [json] for faultsim).
+   The payload comes from another process, so it must answer [op].  The
+   cache-hit notice goes to stderr so stdout stays diffable against the
+   cold command. *)
+let client_call ~socket ~retries ~stats ~json op =
+  let module P = Dfv_serve.Protocol in
   match Dfv_serve.Client.one_shot ~retries ~socket op with
   | Error m ->
     Printf.eprintf "error: %s\n" m;
     exit_error
-  | Ok r ->
-    if r.Dfv_serve.Protocol.cached then
-      Printf.eprintf "dfv serve: served from cache in %.3fs\n"
-        r.Dfv_serve.Protocol.seconds;
-    (match r.Dfv_serve.Protocol.outcome with
-    | Error e ->
+  | Ok r -> (
+    if r.P.cached then
+      Printf.eprintf "dfv serve: served from cache in %.3fs\n" r.P.seconds;
+    match (op, r.P.outcome) with
+    | _, Error e ->
       Printf.eprintf "error: %s\n" (Dfv_error.to_string e);
       Dfv_error.exit_code e
-    | Ok p -> k p)
+    | P.Sec _, Ok (P.R_sec w) -> print_slm_wire ~stats w
+    | P.Sim _, Ok (P.R_sim w) -> print_sim_wire w
+    | P.Faultsim _, Ok (P.R_faultsim f) ->
+      Option.iter (fun file -> Dfv_obs.Json.write_file file f.P.f_report) json;
+      Printf.printf
+        "fault detection rate %.1f%% with %d false equivalents: %s\n"
+        (100.0 *. f.P.f_rate) f.P.f_false_eq
+        (if f.P.f_pass then "PASS" else "FAIL");
+      if f.P.f_pass then exit_ok else exit_cex
+    | P.Ping, Ok P.R_pong ->
+      Printf.printf "pong\n";
+      exit_ok
+    | P.Stats, Ok (P.R_stats s) ->
+      print_endline (Dfv_obs.Json.to_string s);
+      exit_ok
+    | P.Shutdown, Ok P.R_shutdown ->
+      Printf.printf "shutdown acknowledged\n";
+      exit_ok
+    | _, Ok _ ->
+      Printf.eprintf "error: unexpected response payload\n";
+      exit_error)
 
 let serve_socket_arg =
   Arg.(
@@ -567,13 +590,8 @@ let sec_cmd =
     with_interrupt @@ fun () ->
     match serve_socket with
     | Some socket ->
-      client_call ~socket ~retries:0
+      client_call ~socket ~retries:0 ~stats ~json:None
         (Dfv_serve.Protocol.Sec { design; bug; budget })
-        (function
-          | Dfv_serve.Protocol.R_sec w -> print_slm_wire ~stats w
-          | _ ->
-            Printf.eprintf "error: unexpected response payload\n";
-            exit_error)
     | None ->
     (wrap (fun pair ->
         let report v =
@@ -636,13 +654,8 @@ let sim_cmd =
     with_obs obs @@ fun () ->
     match serve_socket with
     | Some socket ->
-      client_call ~socket ~retries:0
+      client_call ~socket ~retries:0 ~stats:false ~json:None
         (Dfv_serve.Protocol.Sim { design; bug; vectors; seed = 0 })
-        (function
-          | Dfv_serve.Protocol.R_sim w -> print_sim_wire w
-          | _ ->
-            Printf.eprintf "error: unexpected response payload\n";
-            exit_error)
     | None ->
     (wrap (fun pair ->
          match Flow.simulate ?engine ~vectors pair with
@@ -686,13 +699,10 @@ let verify_cmd =
       const run $ budget_term $ engine_term $ obs_term $ report_arg
       $ design_arg $ bug_arg)
 
-let faultsim_cmd =
-  let doc =
-    "Run the fault-injection campaign: mutate the designs, demand that \
-     SEC/co-simulation detect every activatable fault, and report the \
-     detection rate (exit 1 when the gate fails)."
-  in
-  let designs_arg =
+(* Campaign flags, shared by `dfv faultsim` and `dfv client faultsim`.
+   No --design means every subject. *)
+let fault_designs_term =
+  let designs =
     Arg.(
       value
       & opt_all string []
@@ -702,36 +712,45 @@ let faultsim_cmd =
              chain.brightness, chain.convolution, chain.threshold, memsys. \
              Default: all.")
   in
-  let seed_arg =
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Fault sampling seed.")
-  in
-  let max_faults_arg =
-    Arg.(
-      value
-      & opt int 16
-      & info [ "max-faults" ] ~docv:"N"
-          ~doc:"Structural RTL faults per subject (class-stratified sample).")
-  in
-  let max_slm_faults_arg =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "max-slm-faults" ] ~docv:"N"
-          ~doc:"Semantic SLM mutations per subject.")
-  in
-  let sim_vectors_arg =
-    Arg.(
-      value
-      & opt int 400
-      & info [ "vectors" ] ~docv:"N"
-          ~doc:"Cross-check simulation vectors per Equivalent mutant.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the machine-readable detection report to $(docv).")
+  Term.(const (function [] -> Dfv_fault.Suite.names | ds -> ds) $ designs)
+
+let fault_seed_arg =
+  Arg.(
+    value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Fault sampling seed.")
+
+let max_faults_arg =
+  Arg.(
+    value
+    & opt int 16
+    & info [ "max-faults" ] ~docv:"N"
+        ~doc:"Structural RTL faults per subject (class-stratified sample).")
+
+let max_slm_faults_arg =
+  Arg.(
+    value
+    & opt int 8
+    & info [ "max-slm-faults" ] ~docv:"N"
+        ~doc:"Semantic SLM mutations per subject.")
+
+let fault_vectors_arg =
+  Arg.(
+    value
+    & opt int 400
+    & info [ "vectors" ] ~docv:"N"
+        ~doc:"Cross-check simulation vectors per Equivalent mutant.")
+
+let fault_json_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"FILE"
+        ~doc:"Write the machine-readable dfv-faultsim report to $(docv).")
+
+let faultsim_cmd =
+  let doc =
+    "Run the fault-injection campaign: mutate the designs, demand that \
+     SEC/co-simulation detect every activatable fault, and report the \
+     detection rate (exit 1 when the gate fails)."
   in
   let run budget designs seed max_faults max_slm_faults sim_vectors engine
       jobs exec timeout deadline journal_path json progress obs =
@@ -747,9 +766,6 @@ let faultsim_cmd =
     | _ -> ());
     match
       Dfv_error.guard (fun () ->
-          let designs =
-            match designs with [] -> Dfv_fault.Suite.names | ds -> ds
-          in
           (* Explicit --jobs (any N) forces the pool; the absent default
              is the core count, except on a 1-core host with no --timeout
              and no explicit --exec-mode, where pooling per mutant only
@@ -823,15 +839,12 @@ let faultsim_cmd =
               (100.0 *. Dfv_fault.Suite.default_min_rate)
               false_eq
               (if pass then "PASS" else "FAIL");
-            (match json with
-            | Some file ->
-              let oc = open_out file in
-              output_string oc
-                (Dfv_fault.Campaign.json_of_reports
-                   ~min_rate:Dfv_fault.Suite.default_min_rate reports);
-              output_char oc '\n';
-              close_out oc
-            | None -> ());
+            Option.iter
+              (fun file ->
+                Dfv_obs.Json.write_file file
+                  (Dfv_fault.Campaign.json_of_reports
+                     ~min_rate:Dfv_fault.Suite.default_min_rate reports))
+              json;
             if pass then exit_ok else exit_cex
           end)
     with
@@ -842,10 +855,10 @@ let faultsim_cmd =
   in
   Cmd.v (Cmd.info "faultsim" ~doc ~exits)
     Term.(
-      const run $ budget_term $ designs_arg $ seed_arg $ max_faults_arg
-      $ max_slm_faults_arg $ sim_vectors_arg $ engine_term $ jobs_term
-      $ exec_mode_term $ timeout_term $ deadline_term $ journal_term
-      $ json_arg $ progress_arg $ obs_term)
+      const run $ budget_term $ fault_designs_term $ fault_seed_arg
+      $ max_faults_arg $ max_slm_faults_arg $ fault_vectors_arg $ engine_term
+      $ jobs_term $ exec_mode_term $ timeout_term $ deadline_term
+      $ journal_term $ fault_json_arg $ progress_arg $ obs_term)
 
 (* --- serve / client ---------------------------------------------------- *)
 
@@ -925,6 +938,7 @@ let serve_cmd =
       $ jobs_term $ exec_mode_term $ obs_term)
 
 let client_cmd =
+  let module P = Dfv_serve.Protocol in
   let retries_arg =
     Arg.(
       value & opt int 0
@@ -933,158 +947,48 @@ let client_cmd =
             "Retry the connection up to $(docv) times (0.1s apart) — \
              for racing a daemon that is still starting.")
   in
-  let seed_arg =
-    Arg.(
-      value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Stimulus seed.")
+  (* Every subcommand takes --socket and --retries; [request] builds its
+     op and the local command's --stats/--json from the rest. *)
+  let client name doc request =
+    Cmd.v (Cmd.info name ~doc ~exits)
+      Term.(
+        const (fun socket retries (op, stats, json) ->
+            client_call ~socket ~retries ~stats ~json op)
+        $ socket_arg $ retries_arg $ request)
   in
   let sec =
-    let doc = "Request a SEC verdict from the daemon." in
-    let run socket retries budget stats design bug =
-      client_call ~socket ~retries
-        (Dfv_serve.Protocol.Sec { design; bug; budget })
-        (function
-          | Dfv_serve.Protocol.R_sec w -> print_slm_wire ~stats w
-          | _ ->
-            Printf.eprintf "error: unexpected response payload\n";
-            exit_error)
-    in
-    Cmd.v (Cmd.info "sec" ~doc ~exits)
+    client "sec" "Request a SEC verdict from the daemon."
       Term.(
-        const run $ socket_arg $ retries_arg $ budget_term $ stats_arg
-        $ design_arg $ bug_arg)
+        const (fun budget stats design bug ->
+            (P.Sec { design; bug; budget }, stats, None))
+        $ budget_term $ stats_arg $ design_arg $ bug_arg)
   in
   let sim =
-    let doc = "Request a simulation comparison from the daemon." in
-    let run socket retries vectors seed design bug =
-      client_call ~socket ~retries
-        (Dfv_serve.Protocol.Sim { design; bug; vectors; seed })
-        (function
-          | Dfv_serve.Protocol.R_sim w -> print_sim_wire w
-          | _ ->
-            Printf.eprintf "error: unexpected response payload\n";
-            exit_error)
+    let seed_arg =
+      Arg.(
+        value & opt int 0 & info [ "seed" ] ~docv:"N" ~doc:"Stimulus seed.")
     in
-    Cmd.v (Cmd.info "sim" ~doc ~exits)
+    client "sim" "Request a simulation comparison from the daemon."
       Term.(
-        const run $ socket_arg $ retries_arg $ vectors_arg $ seed_arg
-        $ design_arg $ bug_arg)
+        const (fun vectors seed design bug ->
+            (P.Sim { design; bug; vectors; seed }, false, None))
+        $ vectors_arg $ seed_arg $ design_arg $ bug_arg)
   in
   let faultsim =
-    let doc = "Request a fault campaign from the daemon." in
-    let designs_arg =
-      Arg.(
-        value
-        & opt_all string []
-        & info [ "design" ] ~docv:"DESIGN"
-            ~doc:"Subject(s) to mutate (repeatable).  Default: all.")
-    in
-    let max_faults_arg =
-      Arg.(
-        value & opt int 16
-        & info [ "max-faults" ] ~docv:"N"
-            ~doc:"Structural RTL faults per subject.")
-    in
-    let max_slm_faults_arg =
-      Arg.(
-        value & opt int 8
-        & info [ "max-slm-faults" ] ~docv:"N"
-            ~doc:"Semantic SLM mutations per subject.")
-    in
-    let sim_vectors_arg =
-      Arg.(
-        value & opt int 400
-        & info [ "vectors" ] ~docv:"N"
-            ~doc:"Cross-check simulation vectors per Equivalent mutant.")
-    in
-    let json_arg =
-      Arg.(
-        value
-        & opt (some string) None
-        & info [ "json" ] ~docv:"FILE"
-            ~doc:"Write the returned dfv-faultsim report to $(docv).")
-    in
-    let run socket retries budget designs seed max_faults max_slm_faults
-        sim_vectors json =
-      let designs =
-        match designs with [] -> Dfv_fault.Suite.names | ds -> ds
-      in
-      client_call ~socket ~retries
-        (Dfv_serve.Protocol.Faultsim
-           {
-             designs;
-             seed;
-             max_rtl_faults = max_faults;
-             max_slm_faults;
-             sim_vectors;
-             budget;
-           })
-        (function
-          | Dfv_serve.Protocol.R_faultsim f ->
-            (match json with
-            | Some file ->
-              Dfv_obs.Json.write_file file f.Dfv_serve.Protocol.f_report
-            | None -> ());
-            Printf.printf
-              "fault detection rate %.1f%% with %d false equivalents: %s\n"
-              (100.0 *. f.Dfv_serve.Protocol.f_rate)
-              f.Dfv_serve.Protocol.f_false_eq
-              (if f.Dfv_serve.Protocol.f_pass then "PASS" else "FAIL");
-            if f.Dfv_serve.Protocol.f_pass then exit_ok else exit_cex
-          | _ ->
-            Printf.eprintf "error: unexpected response payload\n";
-            exit_error)
-    in
-    Cmd.v (Cmd.info "faultsim" ~doc ~exits)
+    client "faultsim" "Request a fault campaign from the daemon."
       Term.(
-        const run $ socket_arg $ retries_arg $ budget_term $ designs_arg
-        $ seed_arg $ max_faults_arg $ max_slm_faults_arg $ sim_vectors_arg
-        $ json_arg)
+        const
+          (fun budget designs seed max_rtl_faults max_slm_faults sim_vectors
+               json ->
+            ( P.Faultsim
+                { designs; seed; max_rtl_faults; max_slm_faults; sim_vectors;
+                  budget },
+              false,
+              json ))
+        $ budget_term $ fault_designs_term $ fault_seed_arg $ max_faults_arg
+        $ max_slm_faults_arg $ fault_vectors_arg $ fault_json_arg)
   in
-  let ping =
-    let doc = "Liveness probe: succeed iff the daemon answers." in
-    let run socket retries =
-      client_call ~socket ~retries Dfv_serve.Protocol.Ping (function
-        | Dfv_serve.Protocol.R_pong ->
-          Printf.printf "pong\n";
-          exit_ok
-        | _ ->
-          Printf.eprintf "error: unexpected response payload\n";
-          exit_error)
-    in
-    Cmd.v (Cmd.info "ping" ~doc ~exits)
-      Term.(const run $ socket_arg $ retries_arg)
-  in
-  let stats =
-    let doc =
-      "Fetch the daemon's live summary document (requests, per-endpoint \
-       hit rates, cache counters) as one line of dfv-serve JSON."
-    in
-    let run socket retries =
-      client_call ~socket ~retries Dfv_serve.Protocol.Stats (function
-        | Dfv_serve.Protocol.R_stats s ->
-          print_endline (Dfv_obs.Json.to_string s);
-          exit_ok
-        | _ ->
-          Printf.eprintf "error: unexpected response payload\n";
-          exit_error)
-    in
-    Cmd.v (Cmd.info "stats" ~doc ~exits)
-      Term.(const run $ socket_arg $ retries_arg)
-  in
-  let shutdown =
-    let doc = "Ask the daemon to exit cleanly (cache store stays valid)." in
-    let run socket retries =
-      client_call ~socket ~retries Dfv_serve.Protocol.Shutdown (function
-        | Dfv_serve.Protocol.R_shutdown ->
-          Printf.printf "shutdown acknowledged\n";
-          exit_ok
-        | _ ->
-          Printf.eprintf "error: unexpected response payload\n";
-          exit_error)
-    in
-    Cmd.v (Cmd.info "shutdown" ~doc ~exits)
-      Term.(const run $ socket_arg $ retries_arg)
-  in
+  let control name doc op = client name doc (Term.const (op, false, None)) in
   let doc =
     "Talk to a dfv serve daemon: sec, sim and faultsim queries plus \
      ping/stats/shutdown control.  Verify verdicts print byte-identically \
@@ -1092,20 +996,435 @@ let client_cmd =
   in
   Cmd.group
     (Cmd.info "client" ~doc ~exits)
-    [ sec; sim; faultsim; ping; stats; shutdown ]
+    [ sec;
+      sim;
+      faultsim;
+      control "ping" "Liveness probe: succeed iff the daemon answers." P.Ping;
+      control "stats"
+        "Fetch the daemon's live summary document (requests, per-endpoint \
+         hit rates, cache counters) as one line of dfv-serve JSON."
+        P.Stats;
+      control "shutdown"
+        "Ask the daemon to exit cleanly (cache store stays valid)." P.Shutdown ]
 
 (* --- artifacts ---------------------------------------------------------- *)
 
-(* What [validate] and [report] read: a journal is line-framed JSON, not
-   one document, so it is recognised by its first line; anything else
-   must be one JSON document carrying the common envelope.  [Error] is
-   the reason the file is not an artifact. *)
-type artifact =
-  | Journal of string  (** the file's contents *)
-  | Document of string * int * Dfv_obs.Json.t  (** schema, version, value *)
+(* One reader per artifact schema, shared by [validate] and [report] so
+   that report renders exactly the files validate accepts.  A reader's
+   [Error] is why the file is not a valid artifact; its [Ok] is what the
+   two commands print. *)
+type artifact = {
+  label : string;  (** "SCHEMA vN" *)
+  summary : string;  (** what validate appends to the label *)
+  render : top:int -> unit;  (** what report prints under it *)
+}
 
-let load_artifact file =
-  let module J = Dfv_obs.Json in
+module J = Dfv_obs.Json
+
+let str name v = Option.value ~default:"?" (J.string_field name v)
+let ints name v = Option.value ~default:0 (J.int_field name v)
+let num name v = Option.value ~default:0.0 (J.float_field name v)
+let take n l = List.filteri (fun i _ -> i < n) l
+
+(* Occurrence counts, in order of first appearance. *)
+let print_tally labels =
+  let counts = Hashtbl.create 8 in
+  let firsts =
+    List.filter
+      (fun l ->
+        let n = Option.value ~default:0 (Hashtbl.find_opt counts l) in
+        Hashtbl.replace counts l (n + 1);
+        n = 0)
+      labels
+  in
+  List.iter
+    (fun l -> Printf.printf "    %-30s %d\n" l (Hashtbl.find counts l))
+    firsts
+
+let render_faultsim v ~top =
+  let subjects =
+    match J.field "subjects" v with Some (J.List l) -> l | _ -> []
+  in
+  List.iter
+    (fun s ->
+      Printf.printf
+        "  %-18s %3d mutants: %d detected, %d survived, %d unknown, %d \
+         crashed, %d false-eq%s (%.2fs)\n"
+        (str "name" s) (ints "total" s) (ints "detected" s) (ints "survived" s)
+        (ints "unknown" s) (ints "crashed" s) (ints "false_equivalent" s)
+        (let shed = ints "shed" s in
+         if shed > 0 then Printf.sprintf ", %d shed" shed else "")
+        (num "wall_seconds" s))
+    subjects;
+  (match
+     (J.float_field "detection_rate" v, J.field "pass" v,
+      J.int_field "false_equivalents" v)
+   with
+  | Some rate, Some (J.Bool pass), Some false_eq ->
+    Printf.printf "  detection rate %.1f%%, %d false equivalents: %s\n"
+      (100.0 *. rate) false_eq
+      (if pass then "PASS" else "FAIL")
+  | _ -> ());
+  let mutants =
+    List.concat_map
+      (fun s ->
+        match J.field "faults" s with
+        | Some (J.List fs) ->
+          List.filter_map
+            (fun f ->
+              Option.map
+                (fun sec -> (sec, str "name" s, str "name" f, str "verdict" f))
+                (J.float_field "seconds" f))
+            fs
+        | _ -> [])
+      subjects
+  in
+  let slowest =
+    take top (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) mutants)
+  in
+  if slowest <> [] then begin
+    Printf.printf "  slowest mutants:\n";
+    List.iter
+      (fun (sec, subject, name, verdict) ->
+        Printf.printf "    %8.3fs  %-18s %-40s %s\n" sec subject name verdict)
+      slowest
+  end
+
+let render_metrics ~counters ~gauges ~histograms ~top:_ =
+  if counters <> [] then begin
+    Printf.printf "  counters:\n";
+    List.iter
+      (function
+        | name, J.Int n -> Printf.printf "    %-40s %d\n" name n | _ -> ())
+      counters
+  end;
+  if gauges <> [] then begin
+    Printf.printf "  gauges:\n";
+    List.iter
+      (fun (name, g) ->
+        Printf.printf "    %-40s value=%d max=%d\n" name (ints "value" g)
+          (ints "max" g))
+      gauges
+  end;
+  if histograms <> [] then begin
+    Printf.printf "  histograms:\n";
+    List.iter
+      (fun (name, h) ->
+        let count = ints "count" h and sum = ints "sum" h in
+        Printf.printf "    %-40s n=%d sum=%d mean=%.1f\n" name count sum
+          (if count = 0 then 0.0 else float_of_int sum /. float_of_int count))
+      histograms;
+    (* Time attribution: duration-valued histograms (the [_us]/[_ns]/
+       [_ms] naming convention) as shares of total solver/engine
+       time. *)
+    let unit_scale name =
+      if String.ends_with ~suffix:"_ns" name then 1e-9
+      else if String.ends_with ~suffix:"_us" name then 1e-6
+      else 1e-3
+    in
+    let timed =
+      List.filter_map
+        (fun (name, h) ->
+          if Dfv_obs.Metrics.timing_metric name then
+            Some
+              ( name,
+                float_of_int (ints "sum" h) *. unit_scale name,
+                ints "count" h )
+          else None)
+        histograms
+    in
+    let total = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 timed in
+    if timed <> [] && total > 0.0 then begin
+      Printf.printf "  time attribution:\n";
+      List.iter
+        (fun (name, sec, n) ->
+          Printf.printf "    %-40s %8.3fs over %d samples (%4.1f%%)\n" name
+            sec n
+            (100.0 *. sec /. total))
+        (List.sort (fun (_, a, _) (_, b, _) -> compare b a) timed)
+    end
+  end
+
+let read_metrics v =
+  let section name =
+    match J.field name v with
+    | Some (J.Obj fs) -> Ok fs
+    | Some _ -> Error (name ^ " is not an object")
+    | None -> Error ("missing " ^ name)
+  in
+  let ( let* ) = Result.bind in
+  let* counters = section "counters" in
+  let* gauges = section "gauges" in
+  let* histograms = section "histograms" in
+  Ok ("", render_metrics ~counters ~gauges ~histograms)
+
+let render_trace v evs ~top =
+  let spans =
+    List.filter_map
+      (fun e ->
+        match (J.string_field "ph" e, J.string_field "name" e) with
+        | Some "X", Some name -> Some (name, num "dur" e, ints "pid" e)
+        | _ -> None)
+      evs
+  in
+  let pids =
+    List.sort_uniq compare (List.filter_map (fun e -> J.int_field "pid" e) evs)
+  in
+  Printf.printf "  %d spans across %d process(es)%s, %d events dropped\n"
+    (List.length spans) (List.length pids)
+    (match pids with
+    | [] -> ""
+    | _ ->
+      Printf.sprintf " (pids %s)"
+        (String.concat ", " (List.map string_of_int pids)))
+    (ints "dropped" v);
+  (* Per-name attribution, insertion order preserved then sorted by total
+     time. *)
+  let order = ref [] in
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (name, dur, _) ->
+      match Hashtbl.find_opt tbl name with
+      | Some (n, total, mx) ->
+        Hashtbl.replace tbl name (n + 1, total +. dur, max mx dur)
+      | None ->
+        order := name :: !order;
+        Hashtbl.add tbl name (1, dur, dur))
+    spans;
+  let by_name =
+    List.sort
+      (fun (_, (_, a, _)) (_, (_, b, _)) -> compare b a)
+      (List.rev_map (fun n -> (n, Hashtbl.find tbl n)) !order)
+  in
+  if by_name <> [] then begin
+    Printf.printf "  time per span name:\n";
+    List.iter
+      (fun (name, (n, total, mx)) ->
+        Printf.printf "    %-40s %9.3fms over %d spans (max %.3fms)\n" name
+          (total /. 1e3) n (mx /. 1e3))
+      by_name
+  end;
+  let slowest =
+    take top (List.sort (fun (_, a, _) (_, b, _) -> compare b a) spans)
+  in
+  if slowest <> [] then begin
+    Printf.printf "  slowest spans:\n";
+    List.iter
+      (fun (name, dur, pid) ->
+        Printf.printf "    %9.3fms  pid %-7d %s\n" (dur /. 1e3) pid name)
+      slowest
+  end
+
+let render_coverage v ~top =
+  let groups = match J.field "groups" v with Some (J.List l) -> l | _ -> [] in
+  let holes = ref [] in
+  List.iter
+    (fun g ->
+      let gname = str "name" g in
+      Printf.printf "  %-30s %.1f%%\n" gname (100.0 *. num "coverage" g);
+      match J.field "points" g with
+      | Some (J.List ps) ->
+        List.iter
+          (fun p ->
+            let pname = str "name" p in
+            Printf.printf "    %-28s %.1f%% (%d samples)\n" pname
+              (100.0 *. num "coverage" p)
+              (ints "samples" p);
+            let at_least = max 1 (ints "at_least" p) in
+            match J.field "bins" p with
+            | Some (J.List bs) ->
+              List.iter
+                (fun b ->
+                  let hits = ints "hits" b in
+                  if J.string_field "kind" b = Some "count" && hits < at_least
+                  then
+                    holes :=
+                      ( at_least - hits,
+                        Printf.sprintf "%s/%s/%s" gname pname (str "name" b),
+                        hits,
+                        at_least )
+                      :: !holes)
+                bs
+            | _ -> ())
+          ps
+      | _ -> ())
+    groups;
+  let holes = List.rev !holes in
+  if holes <> [] then begin
+    Printf.printf "  %d coverage hole(s); worst:\n" (List.length holes);
+    List.iter
+      (fun (_, where, hits, need) ->
+        Printf.printf "    %-50s %d/%d hits\n" where hits need)
+      (take top
+         (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) holes))
+  end
+  else Printf.printf "  no coverage holes\n"
+
+let render_serve_summary v ~requests ~endpoints ~cache ~top =
+  Printf.printf "  %d request(s)\n" requests;
+  if endpoints <> [] then begin
+    Printf.printf "  endpoints:\n";
+    List.iter
+      (fun e ->
+        Printf.printf
+          "    %-10s %4d requests: %d hits (%.1f%% hit rate), %d misses, %d \
+           solves, %d errors, mean %.3fs\n"
+          (str "op" e) (ints "requests" e) (ints "hits" e)
+          (100.0 *. num "hit_rate" e)
+          (ints "misses" e) (ints "solves" e) (ints "errors" e)
+          (num "mean_seconds" e))
+      endpoints
+  end;
+  let h = ints "hits" cache and m = ints "misses" cache in
+  Printf.printf
+    "  cache: %d/%d entries, %d hits / %d misses (%.1f%% hit rate), %d \
+     evicted, %d replayed, %d rejected\n"
+    (ints "size" cache) (ints "capacity" cache) h m
+    (if h + m = 0 then 0.0 else 100.0 *. float_of_int h /. float_of_int (h + m))
+    (ints "evicted" cache) (ints "replayed" cache) (ints "rejected" cache);
+  Option.iter
+    (Printf.printf "  uptime %.1fs\n")
+    (J.float_field "uptime_seconds" v);
+  match J.field "log" v with
+  | Some (J.List log) when log <> [] ->
+    (* Status tally over the request log, then the slowest entries. *)
+    Printf.printf "  request log (%d entries%s):\n" (List.length log)
+      (match J.field "log_truncated" v with
+      | Some (J.Bool true) -> ", truncated"
+      | _ -> "");
+    print_tally (List.map (str "status") log);
+    let slow =
+      take top
+        (List.sort (fun a b -> compare (num "seconds" b) (num "seconds" a)) log)
+    in
+    Printf.printf "  slowest requests:\n";
+    List.iter
+      (fun e ->
+        Printf.printf "    %8.3fs  %-10s %s%s\n" (num "seconds" e) (str "op" e)
+          (str "status" e)
+          (match J.field "cached" e with
+          | Some (J.Bool true) -> " (cached)"
+          | _ -> ""))
+      slow
+  | _ -> ()
+
+(* The serve smoke uploads the daemon summary; its endpoint rows and
+   cache counters are what the CI assertions read, so their shape is
+   contractual.  Request and response frames carry none of them. *)
+let read_serve v =
+  match J.field "kind" v with
+  | Some (J.String "summary") -> (
+    match
+      (J.int_field "requests" v, J.field "endpoints" v, J.field "cache" v)
+    with
+    | Some requests, Some (J.List endpoints), Some (J.Obj _ as cache) ->
+      Ok
+        ( Printf.sprintf " (summary: %d requests, %d endpoints)" requests
+            (List.length endpoints),
+          render_serve_summary v ~requests ~endpoints ~cache )
+    | _ -> Error "summary needs int requests, endpoints array, cache object")
+  | Some (J.String ("request" | "response")) -> Ok ("", fun ~top:_ -> ())
+  | Some (J.String k) -> Error ("unknown dfv-serve kind " ^ k)
+  | _ -> Error "missing kind"
+
+let render_generic v ~top:_ =
+  match v with
+  | J.Obj fields ->
+    List.iter
+      (fun (name, f) ->
+        if name <> "schema" && name <> "version" then
+          match f with
+          | J.Int n -> Printf.printf "  %-30s %d\n" name n
+          | J.Float x -> Printf.printf "  %-30s %g\n" name x
+          | J.Bool b -> Printf.printf "  %-30s %b\n" name b
+          | J.String s when String.length s <= 120 ->
+            Printf.printf "  %-30s %s\n" name s
+          | J.String s ->
+            Printf.printf "  %-30s <%d chars>\n" name (String.length s)
+          | J.List l ->
+            Printf.printf "  %-30s [%d items]\n" name (List.length l)
+          | J.Obj o ->
+            Printf.printf "  %-30s {%d fields}\n" name (List.length o)
+          | J.Null -> ())
+      fields
+  | _ -> ()
+
+(* par_speedup records one row per executor; the CI gate reads mode/cores
+   out of those rows, so their shape is part of the artifact contract. *)
+let read_bench v =
+  match J.string_field "experiment" v with
+  | Some "par_speedup" -> (
+    match J.field "modes" v with
+    | Some (J.List rows) ->
+      let row_ok row =
+        J.string_field "mode" row <> None
+        && J.int_field "cores" row <> None
+        && J.float_field "speedup" row <> None
+      in
+      if rows = [] then Error "modes is empty"
+      else if List.for_all row_ok rows then
+        Ok
+          ( Printf.sprintf " (%d executor rows)" (List.length rows),
+            render_generic v )
+      else Error "modes rows need string mode, int cores, numeric speedup"
+    | Some _ -> Error "modes is not an array"
+    | None -> Error "par_speedup is missing modes")
+  | _ -> Ok ("", render_generic v)
+
+(* The one dispatch on schema name.  Trace and metrics payloads are what
+   dfv merges back in, bench and serve payloads what CI gates read, so
+   their shape is checked; the rest need only the envelope. *)
+let read_document schema v =
+  match schema with
+  | "dfv-trace" -> (
+    match J.field "traceEvents" v with
+    | Some (J.List evs) ->
+      Ok
+        ( Printf.sprintf " (%d events)" (List.length evs),
+          render_trace v evs )
+    | Some _ -> Error "traceEvents is not an array"
+    | None -> Error "missing traceEvents")
+  | "dfv-metrics" -> read_metrics v
+  | "dfv-bench" -> read_bench v
+  | "dfv-serve" -> read_serve v
+  | "dfv-faultsim" -> Ok ("", render_faultsim v)
+  | "dfv-coverage" -> Ok ("", render_coverage v)
+  | _ -> Ok ("", render_generic v)
+
+(* A journal is a record stream under its own corruption policy: report
+   tallies the verdicts of exactly the records a resume would replay. *)
+let read_journal file =
+  let module Journal = Dfv_par.Journal in
+  match Journal.inspect file with
+  | Error m -> Error m
+  | Ok info ->
+    let records = List.length info.Journal.info_records in
+    let notes =
+      (if info.Journal.info_dropped > 0 then
+         Printf.sprintf ", %d duplicates dropped" info.Journal.info_dropped
+       else "")
+      ^ if info.Journal.info_torn then ", torn tail" else ""
+    in
+    let verdict (_, p) =
+      match (J.string_field "verdict" p, J.field "verdict" p) with
+      | Some s, _ -> Some s
+      | None, Some vk -> J.string_field "kind" vk
+      | None, None -> J.string_field "kind" p
+    in
+    Ok
+      {
+        label = "dfv-journal v1";
+        summary = Printf.sprintf " (%d records%s)" records notes;
+        render =
+          (fun ~top:_ ->
+            Printf.printf "  %d result record(s)%s\n" records notes;
+            print_tally (List.filter_map verdict info.Journal.info_records));
+      }
+
+(* A journal is line-framed JSON, not one document, so it is recognised
+   by its first line; anything else must be one JSON document carrying
+   the common envelope. *)
+let read_artifact file =
   let contents = In_channel.with_open_bin file In_channel.input_all in
   let first_line =
     match String.index_opt contents '\n' with
@@ -1113,566 +1432,86 @@ let load_artifact file =
     | None -> contents
   in
   match Result.map J.envelope_of (J.parse first_line) with
-  | Ok (Some ("dfv-journal", _)) -> Ok (Journal contents)
+  | Ok (Some ("dfv-journal", _)) -> read_journal file
   | Ok _ | Error _ -> (
     match J.parse contents with
     | Error m -> Error ("parse error: " ^ m)
     | Ok v -> (
       match J.envelope_of v with
-      | Some (schema, version) -> Ok (Document (schema, version, v))
-      | None -> Error "missing {schema, version} envelope"))
+      | None -> Error "missing {schema, version} envelope"
+      | Some (schema, version) -> (
+        match read_document schema v with
+        | Ok (summary, render) ->
+          Ok { label = Printf.sprintf "%s v%d" schema version; summary; render }
+        | Error m -> Error (schema ^ ": " ^ m))))
+
+let artifact_files_arg =
+  Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
+
+(* Check every file, also after a failure; exit 0 when all passed, 3
+   otherwise. *)
+let check_all check files =
+  if List.fold_left (fun ok file -> check file && ok) true files then exit_ok
+  else exit_error
 
 let validate_cmd =
   let doc =
     "Validate machine-readable artifacts: each FILE must parse as JSON \
-     and carry the shared {\"schema\", \"version\"} envelope.  \
-     dfv-trace and dfv-metrics payloads are additionally checked for \
-     their expected shape (traceEvents array; counter/gauge/histogram \
-     objects).  Exits 0 when every file passes, 3 otherwise.  \
-     Line-framed dfv-journal files are recognised by their first line \
-     and checked record by record.  CI runs this over uploaded \
-     BENCH_*.json / fault-report / trace / coverage / journal artifacts."
+     and carry the shared {\"schema\", \"version\"} envelope.  Payloads \
+     are additionally checked for their expected shape where dfv or CI \
+     reads them back: dfv-trace (traceEvents array), dfv-metrics \
+     (counter/gauge/histogram objects), dfv-bench par_speedup (executor \
+     rows with mode, cores and speedup) and the dfv-serve summary \
+     (requests, endpoints, cache).  Exits 0 when every file passes, 3 \
+     otherwise.  Line-framed dfv-journal files are recognised by their \
+     first line and checked record by record.  CI runs this over \
+     uploaded BENCH_*.json / fault-report / trace / coverage / journal \
+     artifacts."
   in
-  let files_arg =
-    Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE")
+  let validate file =
+    match read_artifact file with
+    | Ok a ->
+      Printf.printf "%-40s ok    %s%s\n" file a.label a.summary;
+      true
+    | Error m ->
+      Printf.printf "%-40s FAIL  %s\n" file m;
+      false
   in
-  let run files =
-    let validate file =
-      match load_artifact file with
-      | Error m ->
-        Printf.printf "%-40s FAIL  %s\n" file m;
-        false
-      | Ok (Journal _) -> (
-        (* the whole record stream, under the journal's own policy *)
-        match Dfv_par.Journal.inspect file with
-        | Ok info ->
-          Printf.printf "%-40s ok    dfv-journal v1 (%d records%s%s)\n" file
-            info.Dfv_par.Journal.info_records
-            (if info.Dfv_par.Journal.info_dropped > 0 then
-               Printf.sprintf ", %d duplicates dropped"
-                 info.Dfv_par.Journal.info_dropped
-             else "")
-            (if info.Dfv_par.Journal.info_torn then ", torn tail" else "");
-          true
-        | Error m ->
-          Printf.printf "%-40s FAIL  %s\n" file m;
-          false)
-      | Ok (Document (schema, version, v)) -> (
-        let module J = Dfv_obs.Json in
-        (* Structural checks for the schemas dfv itself consumes back
-           (trace merging, metrics merging): the envelope alone does not
-           prove the payload has the right shape. *)
-        let shape =
-          match schema with
-          | "dfv-trace" -> (
-            match J.field "traceEvents" v with
-            | Some (J.List evs) ->
-              Ok (Printf.sprintf " (%d events)" (List.length evs))
-            | Some _ -> Error "traceEvents is not an array"
-            | None -> Error "missing traceEvents")
-          | "dfv-metrics" ->
-            let section name =
-              match J.field name v with
-              | Some (J.Obj _) -> None
-              | Some _ -> Some (name ^ " is not an object")
-              | None -> Some ("missing " ^ name)
-            in
-            let missing =
-              List.filter_map section [ "counters"; "gauges"; "histograms" ]
-            in
-            if missing = [] then Ok "" else Error (List.hd missing)
-          | "dfv-bench" -> (
-            (* par_speedup records one row per executor; the CI gate
-               reads mode/cores out of those rows, so their shape is
-               part of the artifact contract. *)
-            match J.string_field "experiment" v with
-            | Some "par_speedup" -> (
-              match J.field "modes" v with
-              | Some (J.List rows) ->
-                let row_ok row =
-                  J.string_field "mode" row <> None
-                  && J.int_field "cores" row <> None
-                  && J.float_field "speedup" row <> None
-                in
-                if rows = [] then Error "modes is empty"
-                else if List.for_all row_ok rows then
-                  Ok (Printf.sprintf " (%d executor rows)" (List.length rows))
-                else
-                  Error
-                    "modes rows need string mode, int cores, numeric speedup"
-              | Some _ -> Error "modes is not an array"
-              | None -> Error "par_speedup is missing modes")
-            | _ -> Ok "")
-          | "dfv-serve" -> (
-            (* The serve smoke uploads the daemon summary; its endpoint
-               rows and cache counters are what the CI assertions read,
-               so their shape is contractual. *)
-            match J.field "kind" v with
-            | Some (J.String "summary") -> (
-              match
-                (J.int_field "requests" v, J.field "endpoints" v,
-                 J.field "cache" v)
-              with
-              | Some n, Some (J.List eps), Some (J.Obj _) ->
-                Ok
-                  (Printf.sprintf " (summary: %d requests, %d endpoints)" n
-                     (List.length eps))
-              | _ ->
-                Error
-                  "summary needs int requests, endpoints array, cache object")
-            | Some (J.String ("request" | "response")) -> Ok ""
-            | Some (J.String k) -> Error ("unknown dfv-serve kind " ^ k)
-            | _ -> Error "missing kind")
-          | _ -> Ok ""
-        in
-        match shape with
-        | Ok extra ->
-          Printf.printf "%-40s ok    %s v%d%s\n" file schema version extra;
-          true
-        | Error m ->
-          Printf.printf "%-40s FAIL  %s: %s\n" file schema m;
-          false)
-    in
-    let ok =
-      List.fold_left (fun acc f -> validate f && acc) true files
-    in
-    if ok then exit_ok else exit_error
-  in
-  Cmd.v (Cmd.info "validate" ~doc ~exits) Term.(const run $ files_arg)
+  Cmd.v (Cmd.info "validate" ~doc ~exits)
+    Term.(const (check_all validate) $ artifact_files_arg)
 
-(* --- report ----------------------------------------------------------- *)
-
-(* Human-readable rendering of the machine artifacts: one renderer per
-   schema, dispatched on the shared {"schema","version"} envelope. *)
 let report_cmd =
   let doc =
     "Summarize dfv JSON artifacts for humans: campaign reports (verdict \
      tallies, slowest mutants), journals (resumable progress), metrics \
      snapshots (counters, histograms, solver-time attribution), merged \
      traces (per-span time attribution, slowest spans, worker pids) and \
-     coverage reports (holes).  Exits 0 when every file rendered, 3 \
-     otherwise."
+     coverage reports (holes).  Renders exactly the files $(b,dfv \
+     validate) accepts; exits 0 when every file rendered, 3 otherwise."
   in
-  let files_arg = Arg.(non_empty & pos_all file [] & info [] ~docv:"FILE") in
   let top_arg =
     Arg.(
       value & opt int 5
       & info [ "top" ] ~docv:"N"
           ~doc:"List the $(docv) slowest mutants/spans and worst holes.")
   in
-  let run top files =
-    let module J = Dfv_obs.Json in
-    let str_field = J.string_field and int_field = J.int_field in
-    let num_field = J.float_field in
-    let ints name v = Option.value ~default:0 (int_field name v) in
-    let take n l = List.filteri (fun i _ -> i < n) l in
-    let report_faultsim v =
-      let subjects =
-        match J.field "subjects" v with Some (J.List l) -> l | _ -> []
-      in
-      List.iter
-        (fun s ->
-          Printf.printf
-            "  %-18s %3d mutants: %d detected, %d survived, %d unknown, %d \
-             crashed, %d false-eq%s (%.2fs)\n"
-            (Option.value ~default:"?" (str_field "name" s))
-            (ints "total" s) (ints "detected" s) (ints "survived" s)
-            (ints "unknown" s) (ints "crashed" s) (ints "false_equivalent" s)
-            (let shed = ints "shed" s in
-             if shed > 0 then Printf.sprintf ", %d shed" shed else "")
-            (Option.value ~default:0.0 (num_field "wall_seconds" s)))
-        subjects;
-      (match
-         (num_field "detection_rate" v, J.field "pass" v, int_field
-            "false_equivalents" v)
-       with
-      | Some rate, Some (J.Bool pass), Some false_eq ->
-        Printf.printf
-          "  detection rate %.1f%%, %d false equivalents: %s\n" (100.0 *. rate)
-          false_eq
-          (if pass then "PASS" else "FAIL")
-      | _ -> ());
-      let mutants =
-        List.concat_map
-          (fun s ->
-            let subject = Option.value ~default:"?" (str_field "name" s) in
-            match J.field "faults" s with
-            | Some (J.List fs) ->
-              List.filter_map
-                (fun f ->
-                  match num_field "seconds" f with
-                  | Some sec ->
-                    Some
-                      ( sec,
-                        subject,
-                        Option.value ~default:"?" (str_field "name" f),
-                        Option.value ~default:"?" (str_field "verdict" f) )
-                  | None -> None)
-                fs
-            | _ -> [])
-          subjects
-      in
-      let slowest =
-        take top
-          (List.sort (fun (a, _, _, _) (b, _, _, _) -> compare b a) mutants)
-      in
-      if slowest <> [] then begin
-        Printf.printf "  slowest mutants:\n";
-        List.iter
-          (fun (sec, subject, name, verdict) ->
-            Printf.printf "    %8.3fs  %-18s %-40s %s\n" sec subject name
-              verdict)
-          slowest
-      end
-    in
-    let report_metrics v =
-      (match J.field "counters" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  counters:\n";
-        List.iter
-          (fun (name, c) ->
-            match c with
-            | J.Int n -> Printf.printf "    %-40s %d\n" name n
-            | _ -> ())
-          fs
-      | _ -> ());
-      (match J.field "gauges" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  gauges:\n";
-        List.iter
-          (fun (name, g) ->
-            Printf.printf "    %-40s value=%d max=%d\n" name (ints "value" g)
-              (ints "max" g))
-          fs
-      | _ -> ());
-      match J.field "histograms" v with
-      | Some (J.Obj fs) when fs <> [] ->
-        Printf.printf "  histograms:\n";
-        List.iter
-          (fun (name, h) ->
-            let count = ints "count" h and sum = ints "sum" h in
-            Printf.printf "    %-40s n=%d sum=%d mean=%.1f\n" name count sum
-              (if count = 0 then 0.0
-               else float_of_int sum /. float_of_int count))
-          fs;
-        (* Time attribution: duration-valued histograms (the [_us]/
-           [_ns]/[_ms] naming convention) as shares of total solver/
-           engine time. *)
-        let unit_scale name =
-          if String.ends_with ~suffix:"_ns" name then 1e-9
-          else if String.ends_with ~suffix:"_us" name then 1e-6
-          else 1e-3
-        in
-        let timed =
-          List.filter_map
-            (fun (name, h) ->
-              if Dfv_obs.Metrics.timing_metric name then
-                Some
-                  ( name,
-                    float_of_int (ints "sum" h) *. unit_scale name,
-                    ints "count" h )
-              else None)
-            fs
-        in
-        let total = List.fold_left (fun a (_, s, _) -> a +. s) 0.0 timed in
-        if timed <> [] && total > 0.0 then begin
-          Printf.printf "  time attribution:\n";
-          List.iter
-            (fun (name, sec, n) ->
-              Printf.printf "    %-40s %8.3fs over %d samples (%4.1f%%)\n"
-                name sec n
-                (100.0 *. sec /. total))
-            (List.sort (fun (_, a, _) (_, b, _) -> compare b a) timed)
-        end
-      | _ -> ()
-    in
-    let report_trace v =
-      let evs =
-        match J.field "traceEvents" v with Some (J.List l) -> l | _ -> []
-      in
-      let spans =
-        List.filter_map
-          (fun e ->
-            match (str_field "ph" e, str_field "name" e) with
-            | Some "X", Some name ->
-              Some
-                ( name,
-                  Option.value ~default:0.0 (num_field "dur" e),
-                  ints "pid" e )
-            | _ -> None)
-          evs
-      in
-      let pids =
-        List.sort_uniq compare
-          (List.filter_map (fun e -> int_field "pid" e) evs)
-      in
-      Printf.printf "  %d spans across %d process(es)%s, %d events dropped\n"
-        (List.length spans) (List.length pids)
-        (match pids with
-        | [] -> ""
-        | _ ->
-          Printf.sprintf " (pids %s)"
-            (String.concat ", " (List.map string_of_int pids)))
-        (ints "dropped" v);
-      (* Per-name attribution, insertion order preserved then sorted by
-         total time. *)
-      let order = ref [] in
-      let tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (name, dur, _) ->
-          match Hashtbl.find_opt tbl name with
-          | Some (n, total, mx) ->
-            Hashtbl.replace tbl name (n + 1, total +. dur, max mx dur)
-          | None ->
-            order := name :: !order;
-            Hashtbl.add tbl name (1, dur, dur))
-        spans;
-      let by_name =
-        List.sort
-          (fun (_, (_, a, _)) (_, (_, b, _)) -> compare b a)
-          (List.rev_map (fun n -> (n, Hashtbl.find tbl n)) !order)
-      in
-      if by_name <> [] then begin
-        Printf.printf "  time per span name:\n";
-        List.iter
-          (fun (name, (n, total, mx)) ->
-            Printf.printf "    %-40s %9.3fms over %d spans (max %.3fms)\n"
-              name (total /. 1e3) n (mx /. 1e3))
-          by_name
-      end;
-      let slowest =
-        take top
-          (List.sort (fun (_, a, _) (_, b, _) -> compare b a) spans)
-      in
-      if slowest <> [] then begin
-        Printf.printf "  slowest spans:\n";
-        List.iter
-          (fun (name, dur, pid) ->
-            Printf.printf "    %9.3fms  pid %-7d %s\n" (dur /. 1e3) pid name)
-          slowest
-      end
-    in
-    let report_coverage v =
-      let groups =
-        match J.field "groups" v with Some (J.List l) -> l | _ -> []
-      in
-      let holes = ref [] in
-      List.iter
-        (fun g ->
-          let gname = Option.value ~default:"?" (str_field "name" g) in
-          Printf.printf "  %-30s %.1f%%\n" gname
-            (100.0 *. Option.value ~default:0.0 (num_field "coverage" g));
-          match J.field "points" g with
-          | Some (J.List ps) ->
-            List.iter
-              (fun p ->
-                let pname = Option.value ~default:"?" (str_field "name" p) in
-                Printf.printf "    %-28s %.1f%% (%d samples)\n" pname
-                  (100.0 *. Option.value ~default:0.0 (num_field "coverage" p))
-                  (ints "samples" p);
-                let at_least = max 1 (ints "at_least" p) in
-                match J.field "bins" p with
-                | Some (J.List bs) ->
-                  List.iter
-                    (fun b ->
-                      let hits = ints "hits" b in
-                      if
-                        str_field "kind" b = Some "count" && hits < at_least
-                      then
-                        holes :=
-                          ( at_least - hits,
-                            Printf.sprintf "%s/%s/%s" gname pname
-                              (Option.value ~default:"?" (str_field "name" b)),
-                            hits, at_least )
-                          :: !holes)
-                    bs
-                | _ -> ())
-              ps
-          | _ -> ())
-        groups;
-      let holes = List.rev !holes in
-      if holes <> [] then begin
-        Printf.printf "  %d coverage hole(s); worst:\n" (List.length holes);
-        List.iter
-          (fun (_, where, hits, need) ->
-            Printf.printf "    %-50s %d/%d hits\n" where hits need)
-          (take top
-             (List.sort
-                (fun (a, _, _, _) (b, _, _, _) -> compare b a)
-                holes))
-      end
-      else Printf.printf "  no coverage holes\n"
-    in
-    let report_serve v =
-      (match int_field "requests" v with
-      | Some n -> Printf.printf "  %d request(s)\n" n
-      | None -> ());
-      (match J.field "endpoints" v with
-      | Some (J.List eps) when eps <> [] ->
-        Printf.printf "  endpoints:\n";
-        List.iter
-          (fun e ->
-            Printf.printf
-              "    %-10s %4d requests: %d hits (%.1f%% hit rate), %d \
-               misses, %d solves, %d errors, mean %.3fs\n"
-              (Option.value ~default:"?" (str_field "op" e))
-              (ints "requests" e) (ints "hits" e)
-              (100.0 *. Option.value ~default:0.0 (num_field "hit_rate" e))
-              (ints "misses" e) (ints "solves" e) (ints "errors" e)
-              (Option.value ~default:0.0 (num_field "mean_seconds" e)))
-          eps
-      | _ -> ());
-      (match J.field "cache" v with
-      | Some c ->
-        let h = ints "hits" c and m = ints "misses" c in
-        Printf.printf
-          "  cache: %d/%d entries, %d hits / %d misses (%.1f%% hit rate), \
-           %d evicted, %d replayed, %d rejected\n"
-          (ints "size" c) (ints "capacity" c) h m
-          (if h + m = 0 then 0.0
-           else 100.0 *. float_of_int h /. float_of_int (h + m))
-          (ints "evicted" c) (ints "replayed" c) (ints "rejected" c)
-      | None -> ());
-      (match num_field "uptime_seconds" v with
-      | Some s -> Printf.printf "  uptime %.1fs\n" s
-      | None -> ());
-      match J.field "log" v with
-      | Some (J.List log) when log <> [] ->
-        (* Status tally over the request log, then the slowest entries. *)
-        let order = ref [] in
-        let tally = Hashtbl.create 8 in
-        List.iter
-          (fun e ->
-            let s = Option.value ~default:"?" (str_field "status" e) in
-            match Hashtbl.find_opt tally s with
-            | Some n -> Hashtbl.replace tally s (n + 1)
-            | None ->
-              order := s :: !order;
-              Hashtbl.add tally s 1)
-          log;
-        Printf.printf "  request log (%d entries%s):\n" (List.length log)
-          (match J.field "log_truncated" v with
-          | Some (J.Bool true) -> ", truncated"
-          | _ -> "");
-        List.iter
-          (fun s -> Printf.printf "    %-30s %d\n" s (Hashtbl.find tally s))
-          (List.rev !order);
-        let slow =
-          take top
-            (List.sort
-               (fun a b ->
-                 compare
-                   (Option.value ~default:0.0 (num_field "seconds" b))
-                   (Option.value ~default:0.0 (num_field "seconds" a)))
-               log)
-        in
-        Printf.printf "  slowest requests:\n";
-        List.iter
-          (fun e ->
-            Printf.printf "    %8.3fs  %-10s %s%s\n"
-              (Option.value ~default:0.0 (num_field "seconds" e))
-              (Option.value ~default:"?" (str_field "op" e))
-              (Option.value ~default:"?" (str_field "status" e))
-              (match J.field "cached" e with
-              | Some (J.Bool true) -> " (cached)"
-              | _ -> ""))
-          slow
-      | _ -> ()
-    in
-    let report_generic v =
-      match v with
-      | J.Obj fields ->
-        List.iter
-          (fun (name, f) ->
-            if name <> "schema" && name <> "version" then
-              match f with
-              | J.Int n -> Printf.printf "  %-30s %d\n" name n
-              | J.Float x -> Printf.printf "  %-30s %g\n" name x
-              | J.Bool b -> Printf.printf "  %-30s %b\n" name b
-              | J.String s when String.length s <= 120 ->
-                Printf.printf "  %-30s %s\n" name s
-              | J.String s -> Printf.printf "  %-30s <%d chars>\n" name (String.length s)
-              | J.List l -> Printf.printf "  %-30s [%d items]\n" name (List.length l)
-              | J.Obj o -> Printf.printf "  %-30s {%d fields}\n" name (List.length o)
-              | J.Null -> ())
-          fields
-      | _ -> ()
-    in
-    (* A journal is a record stream, not one document: summarize the
-       header info and tally the journaled verdicts. *)
-    let report_journal file contents =
-      match Dfv_par.Journal.inspect file with
-      | Error m ->
-        Printf.printf "  FAIL %s\n" m;
-        false
-      | Ok info ->
-        Printf.printf "  %d result record(s)%s%s\n"
-          info.Dfv_par.Journal.info_records
-          (if info.Dfv_par.Journal.info_dropped > 0 then
-             Printf.sprintf ", %d duplicates dropped"
-               info.Dfv_par.Journal.info_dropped
-           else "")
-          (if info.Dfv_par.Journal.info_torn then ", torn tail" else "");
-        let order = ref [] in
-        let tally = Hashtbl.create 8 in
-        String.split_on_char '\n' contents
-        |> List.iter (fun line ->
-               if String.trim line <> "" then
-                 match J.parse line with
-                 | Ok r when str_field "kind" r = Some "result" -> (
-                   let label =
-                     match J.field "payload" r with
-                     | Some p -> (
-                       match (str_field "verdict" p, J.field "verdict" p) with
-                       | Some s, _ -> Some s
-                       | None, Some vk -> str_field "kind" vk
-                       | None, None -> str_field "kind" p)
-                     | None -> None
-                   in
-                   match label with
-                   | Some l ->
-                     (match Hashtbl.find_opt tally l with
-                     | Some n -> Hashtbl.replace tally l (n + 1)
-                     | None ->
-                       order := l :: !order;
-                       Hashtbl.add tally l 1)
-                   | None -> ())
-                 | _ -> ());
-        List.iter
-          (fun l -> Printf.printf "    %-30s %d\n" l (Hashtbl.find tally l))
-          (List.rev !order);
+  let report top file =
+    let ok =
+      match read_artifact file with
+      | Ok a ->
+        Printf.printf "%s — %s\n" file a.label;
+        a.render ~top;
         true
-    in
-    let render file =
-      match load_artifact file with
       | Error m ->
         Printf.printf "%s — FAIL %s\n" file m;
         false
-      | Ok (Journal contents) ->
-        Printf.printf "%s — dfv-journal v1\n" file;
-        report_journal file contents
-      | Ok (Document (schema, version, v)) ->
-        Printf.printf "%s — %s v%d\n" file schema version;
-        (match schema with
-        | "dfv-faultsim" -> report_faultsim v
-        | "dfv-metrics" -> report_metrics v
-        | "dfv-trace" -> report_trace v
-        | "dfv-coverage" -> report_coverage v
-        | "dfv-serve" -> report_serve v
-        | _ -> report_generic v);
-        true
     in
-    let ok =
-      List.fold_left
-        (fun acc f ->
-          let r = render f in
-          print_newline ();
-          r && acc)
-        true files
-    in
-    if ok then exit_ok else exit_error
+    print_newline ();
+    ok
   in
-  Cmd.v (Cmd.info "report" ~doc ~exits) Term.(const run $ top_arg $ files_arg)
+  Cmd.v (Cmd.info "report" ~doc ~exits)
+    Term.(
+      const (fun top -> check_all (report top)) $ top_arg $ artifact_files_arg)
 
 let triage_cmd =
   let doc =

@@ -600,10 +600,9 @@ let json_of_reports ~min_rate reports =
   in
   let rate = detection_rate reports in
   let false_eq = false_equivalents reports in
-  Json.to_string
-    (Json.envelope ~schema:"dfv-faultsim" ~version:1
-       [ ("min_rate", Json.Float min_rate);
-         ("detection_rate", Json.Float rate);
-         ("false_equivalents", Json.Int false_eq);
-         ("pass", Json.Bool (rate >= min_rate && false_eq = 0));
-         ("subjects", Json.List (List.map report_json reports)) ])
+  Json.envelope ~schema:"dfv-faultsim" ~version:1
+    [ ("min_rate", Json.Float min_rate);
+      ("detection_rate", Json.Float rate);
+      ("false_equivalents", Json.Int false_eq);
+      ("pass", Json.Bool (rate >= min_rate && false_eq = 0));
+      ("subjects", Json.List (List.map report_json reports)) ]

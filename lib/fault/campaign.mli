@@ -163,7 +163,7 @@ val verdict_label : verdict -> string
 
 val pp_report : Format.formatter -> report -> unit
 
-val json_of_reports : min_rate:float -> report list -> string
+val json_of_reports : min_rate:float -> report list -> Dfv_obs.Json.t
 (** The machine-readable campaign report: overall rate and gate plus
-    per-subject, per-fault verdicts, rendered via {!Dfv_obs.Json} under
-    the common envelope [{"schema":"dfv-faultsim","version":1,...}]. *)
+    per-subject, per-fault verdicts, under the common envelope
+    [{"schema":"dfv-faultsim","version":1,...}]. *)

@@ -177,7 +177,7 @@ let read_file path =
 
 type info = {
   info_campaign : string;
-  info_records : int;
+  info_records : (string * Json.t) list;
   info_dropped : int;
   info_torn : bool;
 }
@@ -189,7 +189,7 @@ let inspect path =
     Ok
       {
         info_campaign = l.l_campaign;
-        info_records = List.length l.l_results;
+        info_records = l.l_results;
         info_dropped = l.l_dropped;
         info_torn = l.l_torn;
       }

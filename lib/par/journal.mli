@@ -91,12 +91,15 @@ val close : t -> unit
 
 type info = {
   info_campaign : string;  (** header campaign fingerprint *)
-  info_records : int;  (** result records (after duplicate-dropping) *)
+  info_records : (string * Dfv_obs.Json.t) list;
+      (** the result records {!open_} would replay, as [(fp, payload)]
+          in append order: first occurrence of each fingerprint, torn
+          tail dropped *)
   info_dropped : int;  (** duplicates dropped *)
   info_torn : bool;  (** a torn final segment was dropped *)
 }
 
 val inspect : string -> (info, string) result
-(** Read-only validation of a journal file (what [dfv validate] runs):
-    the same parse and corruption policy as {!open_}, without touching
-    the file. *)
+(** Read-only reading of a journal file (what [dfv validate] and
+    [dfv report] run): the same parse and corruption policy as
+    {!open_}, without touching the file. *)

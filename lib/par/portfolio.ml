@@ -90,40 +90,6 @@ let stats_of_json v : (Checker.stats, string) result =
       wall_seconds;
     }
 
-let add_stats (a : Checker.stats) (b : Checker.stats) =
-  {
-    Checker.aig_ands = a.aig_ands + b.aig_ands;
-    sat_conflicts = a.sat_conflicts + b.sat_conflicts;
-    sat_decisions = a.sat_decisions + b.sat_decisions;
-    sat_propagations = a.sat_propagations + b.sat_propagations;
-    sat_clauses = a.sat_clauses + b.sat_clauses;
-    learnts_removed = a.learnts_removed + b.learnts_removed;
-    nodes_encoded = a.nodes_encoded + b.nodes_encoded;
-    nodes_reused = a.nodes_reused + b.nodes_reused;
-    unroll_hits = a.unroll_hits + b.unroll_hits;
-    queries = a.queries + b.queries;
-    unknowns = a.unknowns + b.unknowns;
-    frame_seconds = a.frame_seconds @ b.frame_seconds;
-    wall_seconds = a.wall_seconds +. b.wall_seconds;
-  }
-
-let zero_stats =
-  {
-    Checker.aig_ands = 0;
-    sat_conflicts = 0;
-    sat_decisions = 0;
-    sat_propagations = 0;
-    sat_clauses = 0;
-    learnts_removed = 0;
-    nodes_encoded = 0;
-    nodes_reused = 0;
-    unroll_hits = 0;
-    queries = 0;
-    unknowns = 0;
-    frame_seconds = [];
-    wall_seconds = 0.0;
-  }
-
 (* SLM argument values as Verilog literals — the whole counterexample is
    a function of these (see [Checker.cex_of_params]). *)
 let value_to_json = function
@@ -515,26 +481,9 @@ let check_frame ~budget ~a ~b t =
     F_unsat { (Session.stats session) with wall_seconds = now () -. t0 }
   | Solver.Unknown r ->
     F_unknown (r, { (Session.stats session) with wall_seconds = now () -. t0 })
-  | Solver.Sat -> (
-    let all = Session.frame_inputs product in
-    let concrete =
-      Array.map
-        (fun inputs ->
-          List.map (fun (n, w) -> (n, Session.model_word session w)) inputs)
-        (Array.sub all 0 (min (t + 1) (Array.length all)))
-    in
-    match Checker.find_divergence a b concrete with
-    | Some (t, port, va, vb) ->
-      F_sat
-        ( {
-            Checker.inputs_per_cycle = concrete;
-            diverging_cycle = t;
-            diverging_port = port;
-            value_a = va;
-            value_b = vb;
-          },
-          { (Session.stats session) with wall_seconds = now () -. t0 } )
-    | None -> failwith "internal: SAT model did not re-simulate to a divergence")
+  | Solver.Sat ->
+    let cex = Checker.rtl_cex_of_model session product ~a ~b ~cycles:(t + 1) in
+    F_sat (cex, { (Session.stats session) with wall_seconds = now () -. t0 })
 
 let check_rtl_rtl ?jobs ?timeout ?budget ~a ~b ~bound () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_rtl_rtl" @@ fun () ->
@@ -555,9 +504,9 @@ let check_rtl_rtl ?jobs ?timeout ?budget ~a ~b ~bound () =
         (fun acc o ->
           match o with
           | Some (Ok (F_unsat s | F_sat (_, s) | F_unknown (_, s))) ->
-            add_stats acc s
+            Checker.add_stats acc s
           | _ -> acc)
-        zero_stats r.Pool.outcomes
+        Checker.zero_stats r.Pool.outcomes
     in
     let finish stats = { stats with Checker.wall_seconds = now () -. t0 } in
     match r.Pool.winner with

@@ -475,6 +475,28 @@ let find_divergence a b inputs_per_cycle =
   in
   go 0
 
+let rtl_cex_of_model session product ~a ~b ~cycles =
+  let all = Session.frame_inputs product in
+  let concrete =
+    Array.map
+      (fun inputs ->
+        List.map (fun (n, w) -> (n, Session.model_word session w)) inputs)
+      (Array.sub all 0 (min cycles (Array.length all)))
+  in
+  match find_divergence a b concrete with
+  | Some (t, port, va, vb) ->
+    {
+      inputs_per_cycle = concrete;
+      diverging_cycle = t;
+      diverging_port = port;
+      value_a = va;
+      value_b = vb;
+    }
+  | None ->
+    (* The model satisfied the miter symbolically, so simulation must
+       reproduce it; not doing so is a checker bug. *)
+    fail "internal: SAT model did not re-simulate to a divergence"
+
 let check_rtl_rtl ?budget ?session ~a ~b ~bound () =
   let t0 = now () in
   if bound < 1 then fail "bound must be >= 1";
@@ -506,33 +528,29 @@ let check_rtl_rtl ?budget ?session ~a ~b ~bound () =
         Session.block session lit;
         frames (t + 1)
       | Solver.Sat ->
-        let all = Session.frame_inputs product in
-        let concrete =
-          Array.map
-            (fun inputs ->
-              List.map (fun (n, w) -> (n, Session.model_word session w)) inputs)
-            (Array.sub all 0 (min bound (Array.length all)))
-        in
-        (match find_divergence a b concrete with
-        | Some (t, port, va, vb) ->
-          Rtl_not_equivalent
-            ( {
-                inputs_per_cycle = concrete;
-                diverging_cycle = t;
-                diverging_port = port;
-                value_a = va;
-                value_b = vb;
-              },
-              stats_of session t0 )
-        | None ->
-          (* The model satisfied the miter symbolically, so simulation
-             must reproduce it; not doing so is a checker bug. *)
-          fail "internal: SAT model did not re-simulate to a divergence")
+        let cex = rtl_cex_of_model session product ~a ~b ~cycles:bound in
+        Rtl_not_equivalent (cex, stats_of session t0)
     end
   in
   frames 0
 
-(* Fold a base-case verdict's counters into an induction verdict's. *)
+let zero_stats =
+  {
+    aig_ands = 0;
+    sat_conflicts = 0;
+    sat_decisions = 0;
+    sat_propagations = 0;
+    sat_clauses = 0;
+    learnts_removed = 0;
+    nodes_encoded = 0;
+    nodes_reused = 0;
+    unroll_hits = 0;
+    queries = 0;
+    unknowns = 0;
+    frame_seconds = [];
+    wall_seconds = 0.0;
+  }
+
 let add_stats (b : stats) (s : stats) =
   {
     s with

@@ -43,6 +43,13 @@ type stats = Session.stats = {
     session the counters are cumulative over that session's lifetime;
     [wall_seconds] is always the reporting call's own elapsed time. *)
 
+val zero_stats : stats
+(** All counters zero, no frame times: the unit of {!add_stats}. *)
+
+val add_stats : stats -> stats -> stats
+(** [add_stats a b] sums the counters of [a] and [b] and appends [b]'s
+    frame times to [a]'s; [wall_seconds] is [b]'s. *)
+
 type cex = {
   params : (string * Dfv_hwir.Interp.value) list;
       (** SLM argument values that exhibit the divergence. *)
@@ -136,15 +143,20 @@ type rtl_verdict =
   | Rtl_unknown of Dfv_sat.Solver.reason * stats
       (** The budget ran out before some frame was decided. *)
 
-val find_divergence :
-  Dfv_rtl.Netlist.elaborated ->
-  Dfv_rtl.Netlist.elaborated ->
-  (string * Dfv_bitvec.Bitvec.t) list array ->
-  (int * string * Dfv_bitvec.Bitvec.t * Dfv_bitvec.Bitvec.t) option
-(** [find_divergence a b inputs_per_cycle] simulates both designs from
-    reset on the same concrete inputs and returns the first cycle, output
-    port and the two values where they differ, if any — how a SAT model
-    of a frame miter becomes an {!rtl_cex}. *)
+val rtl_cex_of_model :
+  Session.t ->
+  Session.product ->
+  a:Dfv_rtl.Netlist.elaborated ->
+  b:Dfv_rtl.Netlist.elaborated ->
+  cycles:int ->
+  rtl_cex
+(** [rtl_cex_of_model session product ~a ~b ~cycles] turns the
+    session's SAT model of a frame miter over [product] into a
+    counterexample: the first [cycles] cycles of product inputs are read
+    out of the model, and both designs are simulated from reset on them
+    to the first cycle, output port and pair of values where they
+    differ.  Raises {!Spec_error} if they do not diverge (a checker
+    bug). *)
 
 val check_rtl_rtl :
   ?budget:Dfv_sat.Solver.budget ->

@@ -104,12 +104,7 @@ let solve = function
       Suite.gate ~min_rate:Suite.default_min_rate reports
     in
     let f_report =
-      match
-        Json.parse
-          (Campaign.json_of_reports ~min_rate:Suite.default_min_rate reports)
-      with
-      | Ok v -> v
-      | Error m -> Json.Obj [ ("unrenderable", Json.String m) ]
+      Campaign.json_of_reports ~min_rate:Suite.default_min_rate reports
     in
     Ok (Protocol.R_faultsim { f_pass; f_rate; f_false_eq; f_report })
 

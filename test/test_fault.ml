@@ -220,7 +220,9 @@ let test_json_report () =
     Campaign.run ?budget ~max_rtl_faults:4 ~max_slm_faults:2
       (Campaign.Sec_pair (alu_pair ()))
   in
-  let json = Campaign.json_of_reports ~min_rate:0.95 [ r ] in
+  let json =
+    Dfv_obs.Json.to_string (Campaign.json_of_reports ~min_rate:0.95 [ r ])
+  in
   let contains sub =
     let n = String.length sub and h = String.length json in
     let rec go i = i + n <= h && (String.sub json i n = sub || go (i + 1)) in
