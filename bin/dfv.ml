@@ -14,19 +14,19 @@
 
    faultsim runs its mutants in pooled workers (--jobs, default = core
    count, except on 1-core hosts where the default falls back to the
-   in-process path; --timeout bounds each mutant's wall clock); sec
-   --jobs N races solving strategies in a portfolio.  --exec-mode
-   fork|domains|auto picks the executor backing either pool: forked
-   processes (crash isolation, timeouts), in-process work-stealing
-   domains (fastest on short jobs), or adaptive dispatch between the
-   two — verdicts are byte-identical across modes.  Both commands
-   take --journal FILE (durable write-ahead journal of verdicts) and
-   --resume FILE (replay a journal and run only what is missing);
-   faultsim also takes --deadline S (graceful degradation: shrink
-   solver budgets, then shed mutants to UNKNOWN instead of dying).
-   SIGINT/SIGTERM stop the campaign cleanly: workers are killed, the
-   journal is flushed, and the exit code is 4 ("interrupted,
-   resumable").
+   in-process path; --timeout bounds each mutant's wall clock), and
+   --exec-mode fork|domains|auto picks the executor backing its pool:
+   forked processes (crash isolation, timeouts), in-process
+   work-stealing domains (fastest on short jobs), or adaptive dispatch
+   between the two — verdicts are byte-identical across modes.  sec
+   --jobs N races solving strategies in forked workers, and the first
+   conclusive verdict kills the loser.  Both commands take --journal
+   FILE (durable write-ahead journal of verdicts) and --resume FILE
+   (replay a journal and run only what is missing); faultsim also
+   takes --deadline S (graceful degradation: shrink solver budgets,
+   then shed mutants to UNKNOWN instead of dying).  SIGINT/SIGTERM stop
+   the campaign cleanly: workers are killed, the journal is flushed,
+   and the exit code is 4 ("interrupted, resumable").
 
    Bugs can be planted with --bug (see `dfv list`) to watch the flows
    catch them.  The flow commands take --trace FILE (Chrome trace_event
@@ -580,12 +580,13 @@ let serve_socket_arg =
 
 let sec_cmd =
   let doc =
-    "Run sequential equivalence checking on a pair.  With --jobs above 1 \
-     the check runs as a strategy portfolio: solving variants race in \
-     forked workers and the first conclusive verdict cancels the rest.  \
-     With --serve-socket the query is answered by a dfv serve daemon."
+    "Run sequential equivalence checking on a pair.  With --jobs the \
+     check runs as a strategy portfolio: solving variants race in forked \
+     workers, at most one per core, and the first conclusive verdict \
+     kills the rest.  With --serve-socket the query is answered by a dfv \
+     serve daemon."
   in
-  let run budget stats jobs exec journal progress serve_socket obs design bug =
+  let run budget stats jobs journal progress serve_socket obs design bug =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
     match serve_socket with
@@ -597,18 +598,16 @@ let sec_cmd =
         let report v =
           print_slm_wire ~stats (Dfv_par.Portfolio.slm_wire_of_verdict v)
         in
-        (* A journal, --progress or an explicit --exec-mode implies the
-           portfolio path (that is where verdicts are journaled/reported
-           and where the executor choice matters), even without --jobs. *)
-        if jobs = None && exec = None && journal = None && not progress then
+        (* A journal or --progress implies the portfolio path (that is
+           where verdicts are journaled and reported), even without
+           --jobs. *)
+        if jobs = None && journal = None && not progress then
           report (Flow.sec ?budget pair)
         else
           let jobs = Option.value jobs ~default:1 in
-          let exec = Option.value exec ~default:`Auto in
           match
-            Dfv_par.Portfolio.check_slm_rtl ~jobs ~exec ?budget ?journal
-              ~progress ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl
-              ~spec:pair.Pair.spec ()
+            Dfv_par.Portfolio.check_slm_rtl ~jobs ?budget ?journal ~progress
+              ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl ~spec:pair.Pair.spec ()
           with
           | Ok v -> report v
           | Error e ->
@@ -622,9 +621,8 @@ let sec_cmd =
   in
   Cmd.v (Cmd.info "sec" ~doc ~exits)
     Term.(
-      const run $ budget_term $ stats_arg $ jobs_term $ exec_mode_term
-      $ journal_term $ progress_arg $ serve_socket_arg $ obs_term
-      $ design_arg $ bug_arg)
+      const run $ budget_term $ stats_arg $ jobs_term $ journal_term
+      $ progress_arg $ serve_socket_arg $ obs_term $ design_arg $ bug_arg)
 
 let vectors_arg =
   Arg.(value & opt int 1000 & info [ "n"; "vectors" ] ~docv:"N" ~doc:"Number of random transactions.")

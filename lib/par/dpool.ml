@@ -115,42 +115,30 @@ let run_job f x =
 
 (* --- the executor ------------------------------------------------------- *)
 
-let run (type a r) ?jobs ?on_result ~(conclusive : (r -> bool) option)
-    (f : a -> r) (inputs : a list) : r Pool.race =
+let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
+    r Pool.outcome option array =
   let jobs = match jobs with None -> Pool.cores () | Some j -> j in
   if jobs < 1 then invalid_arg "Dpool: jobs must be >= 1";
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   let outcomes : r Pool.outcome option array = Array.make n None in
-  let winner = ref None in
-  if n = 0 then { Pool.winner = None; outcomes }
-  else begin
+  if n > 0 then begin
     (* Domains beyond the core count only contend with each other (and
        with the coordinating domain), so concurrency is clamped to the
        host — unlike the fork pool, where [jobs] is taken literally.
        Verdicts cannot tell the difference; only wall-clock can. *)
     let w = max 1 (min (min jobs n) (Pool.cores ())) in
-    let cancel = Atomic.make false in
     (* The coordinating domain owns the global sinks: it merges each
        job's telemetry and fires [on_result] in completion order, so
        callers see exactly the fork pool's delivery discipline. *)
     let record c =
-      if (not (Atomic.get cancel)) && outcomes.(c.c_job) = None then begin
-        outcomes.(c.c_job) <- Some c.c_outcome;
-        Pool.merge_telemetry
-          ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
-          ~job:c.c_job c.c_telemetry;
-        match on_result with
-        | Some notify -> notify c.c_job c.c_outcome
-        | None -> ()
-      end
-    in
-    let check_winner () =
-      match conclusive with
-      | Some conclusive when !winner = None ->
-        winner := Pool.winner_of ~conclusive outcomes;
-        if Option.is_some !winner then Atomic.set cancel true
-      | _ -> ()
+      outcomes.(c.c_job) <- Some c.c_outcome;
+      Pool.merge_telemetry
+        ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
+        ~job:c.c_job c.c_telemetry;
+      match on_result with
+      | Some notify -> notify c.c_job c.c_outcome
+      | None -> ()
     in
     if w = 1 then begin
       (* A single-worker pool runs inline on the calling domain.
@@ -158,17 +146,15 @@ let run (type a r) ?jobs ?on_result ~(conclusive : (r -> bool) option)
          while switching the runtime into multi-domain mode (every minor
          collection becomes a stop-the-world rendezvous — a measured
          3-4% tax on simulation-heavy campaigns) and slamming the fork
-         door for the rest of the process.  Jobs run in index order, so
-         the lowest-index-conclusive winner rule holds trivially. *)
+         door for the rest of the process. *)
       let did = (Domain.self () :> int) in
       (try
          for j = 0 to n - 1 do
-           if Atomic.get cancel || Pool.stop_requested () then raise Exit;
+           if Pool.stop_requested () then raise Exit;
            let outcome, telem = run_job f inputs.(j) in
            record
              { c_job = j; c_domain = did; c_outcome = outcome;
-               c_telemetry = telem };
-           check_winner ()
+               c_telemetry = telem }
          done
        with Exit -> ())
     end
@@ -215,7 +201,7 @@ let run (type a r) ?jobs ?on_result ~(conclusive : (r -> bool) option)
           (fun () ->
             let did = (Domain.self () :> int) in
             let rec loop () =
-              if Atomic.get cancel || Pool.stop_requested () then ()
+              if Pool.stop_requested () then ()
               else
                 match next_job k with
                 | None -> ()
@@ -240,24 +226,20 @@ let run (type a r) ?jobs ?on_result ~(conclusive : (r -> bool) option)
         let all_exited = q.q_exited = w in
         Mutex.unlock q.q_mu;
         List.iter record batch;
-        check_winner ();
         if not (all_exited && batch = []) then drain ()
       in
       drain ();
       Array.iter Domain.join domains
     end;
-    if Pool.stop_requested () && not (Atomic.get cancel) then
+    if Pool.stop_requested () then
       Array.iter
         (fun o -> if o = None then Metrics.incr m_interrupted)
-        outcomes;
-    { Pool.winner = !winner; outcomes }
-  end
+        outcomes
+  end;
+  outcomes
 
 let map ?jobs ?label ?on_result f inputs =
-  run ?jobs ?on_result ~conclusive:None f inputs |> Pool.outcomes_of_race ?label
-
-let race ?jobs ?on_result ~conclusive f inputs =
-  run ?jobs ?on_result ~conclusive:(Some conclusive) f inputs
+  run ?jobs ?on_result f inputs |> Pool.map_outcomes ?label
 
 (* --- adaptive dispatch -------------------------------------------------- *)
 
@@ -345,22 +327,3 @@ let map_auto (type a r) ?jobs ?timeout ?label ?on_result
           | `Fork -> fork ?label:shifted_label ?on_result:shifted_notify rest
         in
         o0 :: rest_outcomes))
-
-let race_auto ?jobs ?label ?on_result ~(exec : Pool.exec_mode) ~encode
-    ~decode ~conclusive f inputs =
-  let fork () =
-    Pool.race ?jobs ?label ?on_result ~encode ~decode ~conclusive f inputs
-  in
-  let domains () = race ?jobs ?on_result ~conclusive f inputs in
-  match exec with
-  | `Fork -> fork ()
-  | `Domains -> domains ()
-  | `Auto ->
-    (* No inline probe for races: racing strategies are heterogeneous,
-       so job 0's cost says nothing about the others — and running it
-       to completion first would forfeit the race.  Unless the static
-       rule picks domains, races run on fork: a race on domains cannot
-       stop its losing strategy and waits for it to finish. *)
-    let m = Option.value (choose_static ~timeout:None) ~default:`Fork in
-    note m;
-    (match m with `Fork -> fork () | `Domains -> domains ())

@@ -4,8 +4,8 @@
     The fork pool buys crash isolation and preemptive timeouts at the
     price of a [fork], a pipe, and JSON serialization {e per job} — a
     price that exceeds the job itself for short work (per-mutant
-    campaign runs, shallow BMC frame shards), which is exactly the
-    regression [BENCH_PAR_SPEEDUP.json] recorded.  This executor runs
+    campaign runs), which is exactly the regression
+    [BENCH_PAR_SPEEDUP.json] recorded.  This executor runs
     the same jobs on worker {e domains} in shared memory: results pass
     by reference, job closures by capture, and the only per-job cost is
     a mutex-guarded deque pop.
@@ -42,10 +42,12 @@
     whole process down (exceptions, including stack overflow mapped by
     {!Dfv_core.Dfv_error.guard}, are contained as [Error] outcomes).
     No preemptive timeout: a domain cannot be killed, so there is no
-    [?timeout] here, and cancellation ({!race} losers, {!Pool.request_stop})
-    is cooperative at job granularity — in-flight jobs finish, undealt
-    jobs are never started.  Workloads needing either property belong
-    on the fork pool; [`Auto] dispatch routes them there.
+    [?timeout] here, and {!Pool.request_stop} is cooperative at job
+    granularity — in-flight jobs finish, undealt jobs are never
+    started.  Workloads needing either property belong on the fork
+    pool; [`Auto] dispatch routes them there.  For the same reason there
+    is no race here: a race on domains would wait for its losing job,
+    so {!Pool.race} is the only one.
 
     {2 The fork/domains one-way door}
 
@@ -85,18 +87,6 @@ val map :
     {!Dfv_core.Dfv_error.guard}.  If {!Pool.request_stop} fires
     mid-run, jobs not yet started come back [Error (Interrupted _)]. *)
 
-val race :
-  ?jobs:int ->
-  ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  conclusive:('r -> bool) ->
-  ('a -> 'r) ->
-  'a list ->
-  'r Pool.race
-(** Portfolio mode, mirroring {!Pool.race}: the lowest-indexed
-    conclusive result recorded so far wins and cancellation is
-    cooperative — running jobs complete but their results are
-    discarded (outcomes stay [None], [on_result] is not called). *)
-
 (** {2 Adaptive dispatch} *)
 
 val short_job_threshold : float
@@ -126,21 +116,3 @@ val map_auto :
     counted as [pool.exec.fork] / [pool.exec.domains]; explicit modes
     are not, so telemetry parity across executors holds.
     [encode]/[decode] are unused on the domains path. *)
-
-val race_auto :
-  ?jobs:int ->
-  ?label:(int -> string) ->
-  ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  exec:Pool.exec_mode ->
-  encode:('r -> Dfv_obs.Json.t) ->
-  decode:(Dfv_obs.Json.t -> ('r, string) result) ->
-  conclusive:('r -> bool) ->
-  ('a -> 'r) ->
-  'a list ->
-  'r Pool.race
-(** {!Pool.race} or {!race}, selected by [exec].  [`Auto] never probes
-    (racing strategies are heterogeneous, and running one to completion
-    first would forfeit the race): a single-core host, or a process where
-    {!fork_available} is false, races on domains; otherwise the race
-    runs on fork, because a race on domains cannot stop its losing
-    strategy and waits for it.  Counted like {!map_auto}. *)

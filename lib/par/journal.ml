@@ -247,24 +247,31 @@ let open_ ~path ~campaign:key =
             dropped = l.l_dropped;
           }
       end
-  else begin
-    let fd =
+  else
+    match
       Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-    in
-    write_all fd (header_line campaign);
-    fsync fd;
-    Ok
-      {
-        fd;
-        path;
-        campaign;
-        results = Hashtbl.create 64;
-        replayed = 0;
-        replayed_entries = [];
-        torn = false;
-        dropped = 0;
-      }
-  end
+    with
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "cannot create %s: %s" path (Unix.error_message e))
+    | fd ->
+      write_all fd (header_line campaign);
+      fsync fd;
+      (* The file's directory entry must be durable too: until the
+         directory is fsync'd, a crash can lose the new file together
+         with every record fsync'd into it. *)
+      let dir = Unix.openfile (Filename.dirname path) [ Unix.O_RDONLY ] 0 in
+      Fun.protect ~finally:(fun () -> Unix.close dir) (fun () -> fsync dir);
+      Ok
+        {
+          fd;
+          path;
+          campaign;
+          results = Hashtbl.create 64;
+          replayed = 0;
+          replayed_entries = [];
+          torn = false;
+          dropped = 0;
+        }
 
 let append t ~fp payload =
   if not (Hashtbl.mem t.results fp) then begin

@@ -54,11 +54,14 @@ val fingerprint : string -> string
     one campaign are not a realistic concern. *)
 
 val open_ : path:string -> campaign:string -> (t, string) result
-(** Create the journal at [path] (writing and fsyncing the header), or
+(** Create the journal at [path] (writing and fsyncing the header, then
+    fsyncing the directory so the new file itself survives a crash), or
     — when the file already exists — load and index it for resumption.
-    Errors on the corruption cases above and when the existing header's
-    campaign fingerprint differs from [campaign] (the caller passes the
-    {e key string}; it is fingerprinted internally). *)
+    Errors when the file cannot be created (["cannot create PATH: ..."],
+    e.g. a missing directory), on the corruption cases above, and when
+    the existing header's campaign fingerprint differs from [campaign]
+    (the caller passes the {e key string}; it is fingerprinted
+    internally). *)
 
 val campaign : t -> string
 (** The campaign fingerprint in the header. *)

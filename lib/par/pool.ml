@@ -67,8 +67,8 @@ type 'r race = {
   outcomes : 'r outcome option array;
 }
 
-(* The race rule both executors share: the lowest job index among the
-   recorded conclusive results wins, so a photo finish is deterministic. *)
+(* The race rule: the lowest job index among the recorded conclusive
+   results wins, so a photo finish is deterministic. *)
 let winner_of ~conclusive outcomes =
   let rec scan i =
     if i >= Array.length outcomes then None
@@ -79,10 +79,10 @@ let winner_of ~conclusive outcomes =
   in
   scan 0
 
-(* A map is a race without a conclusive predicate, so an outcome left
-   [None] is a job the stop flag kept from finishing. *)
-let outcomes_of_race ?(label = string_of_int) r =
-  Array.to_list r.outcomes
+(* Both executors' map result.  Without a race nothing is cancelled, so
+   an outcome left [None] is a job the stop flag kept from finishing. *)
+let map_outcomes ?(label = string_of_int) outcomes =
+  Array.to_list outcomes
   |> List.mapi (fun i o ->
          match o with
          | Some o -> o
@@ -549,11 +549,13 @@ let run (type a r) ?jobs ?timeout ?(heartbeat = 0.5) ?label ?on_result
   { winner = !winner; outcomes }
 
 let map ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode f inputs =
-  run ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
-    ~conclusive:None f inputs
-  |> outcomes_of_race ?label
+  let r =
+    run ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
+      ~conclusive:None f inputs
+  in
+  map_outcomes ?label r.outcomes
 
-let race ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
-    ~conclusive f inputs =
-  run ?jobs ?timeout ?heartbeat ?label ?on_result ~encode ~decode
+let race ?jobs ?heartbeat ?label ?on_result ~encode ~decode ~conclusive f
+    inputs =
+  run ?jobs ?heartbeat ?label ?on_result ~encode ~decode
     ~conclusive:(Some conclusive) f inputs

@@ -1,11 +1,11 @@
 (** A fork-based worker pool with crash isolation.
 
     The fault campaign and the SEC portfolio are embarrassingly
-    parallel: independent mutants, independent BMC frames, independent
-    solving strategies.  This pool runs such jobs across worker
-    {e processes} (one [fork] per job, at most [jobs] alive at once), so
-    that a worker that segfaults, is OOM-killed, or wedges becomes a
-    recorded {!Dfv_core.Dfv_error.t} — never a dead run.
+    parallel: independent mutants, independent solving strategies.
+    This pool runs such jobs across worker {e processes} (one [fork]
+    per job, at most [jobs] alive at once), so that a worker that
+    segfaults, is OOM-killed, or wedges becomes a recorded
+    {!Dfv_core.Dfv_error.t} — never a dead run.
 
     {2 Protocol}
 
@@ -141,7 +141,6 @@ type 'r race = {
 
 val race :
   ?jobs:int ->
-  ?timeout:float ->
   ?heartbeat:float ->
   ?label:(int -> string) ->
   ?on_result:(int -> 'r outcome -> unit) ->
@@ -151,22 +150,19 @@ val race :
   ('a -> 'r) ->
   'a list ->
   'r race
-(** Portfolio mode: like {!map}, but the first result for which
-    [conclusive] holds wins — every other live worker is SIGKILLed,
-    pending jobs are not started, and their outcomes stay [None].  When
-    several workers conclude in the same [select] round the lowest job
-    index wins, so ties are broken deterministically.  If no job
-    concludes, [winner = None] and every outcome is filled in. *)
+(** Portfolio mode: like {!map} without a per-job timeout, but the
+    first result for which [conclusive] holds wins — every other live
+    worker is SIGKILLed, pending jobs are not started, and their
+    outcomes stay [None].  When several workers conclude in the same
+    [select] round the lowest job index wins, so ties are broken
+    deterministically.  If no job concludes, [winner = None] and every
+    outcome is filled in. *)
 
 (** {2 Shared with {!Dpool}} *)
 
-val winner_of :
-  conclusive:('r -> bool) -> 'r outcome option array -> (int * 'r) option
-(** The race rule of both executors: the lowest-indexed recorded
-    outcome that is [Ok r] with [conclusive r], if any. *)
-
-val outcomes_of_race : ?label:(int -> string) -> 'r race -> 'r outcome list
-(** A map's result: the race's outcomes in input order, each job left
-    [None] reported as [Error (Interrupted _)] when {!request_stop} has
-    fired (and as [Worker_crashed] otherwise, which a map without
+val map_outcomes :
+  ?label:(int -> string) -> 'r outcome option array -> 'r outcome list
+(** A map's result: the outcomes in input order, each job left [None]
+    reported as [Error (Interrupted _)] when {!request_stop} has fired
+    (and as [Worker_crashed] otherwise, which a map without
     cancellation never produces). *)

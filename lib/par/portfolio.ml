@@ -2,11 +2,8 @@ module Bitvec = Dfv_bitvec.Bitvec
 module Solver = Dfv_sat.Solver
 module Interp = Dfv_hwir.Interp
 module Checker = Dfv_sec.Checker
-module Session = Dfv_sec.Session
 module Dfv_error = Dfv_core.Dfv_error
 module Json = Dfv_obs.Json
-
-let now () = Unix.gettimeofday ()
 
 (* --- wire forms -------------------------------------------------------- *)
 
@@ -227,9 +224,12 @@ let slm_wire_category = function
   | Ok (W_unknown _) -> "unknown"
   | Error _ -> "failed"
 
-let check_slm_rtl ?jobs ?budget ?journal ?(progress = false)
-    ?(exec = (`Fork : Pool.exec_mode)) ~slm ~rtl ~spec () =
+let check_slm_rtl ?jobs ?budget ?journal ?(progress = false) ~slm ~rtl ~spec
+    () =
   Dfv_obs.Trace.with_span ~cat:"par" "par.check_slm_rtl" @@ fun () ->
+  (* The sweeping strategy is the sequential checker's path, and it goes
+     first: on one core, or at [jobs = 1], the strategies run one after
+     another in this order. *)
   let strategies = [ ("sweep", true); ("direct", false) ] in
   let run (_, sweep) =
     slm_wire_of_verdict
@@ -307,8 +307,11 @@ let check_slm_rtl ?jobs ?budget ?journal ?(progress = false)
             Journal.append j ~fp:(fp (fst missing_arr.(k))) (slm_wire_to_json w)
           | _ -> ()
         in
+        (* Workers beyond the core count would only time-slice the
+           strategies. *)
+        let jobs = min (Option.value jobs ~default:max_int) (Pool.cores ()) in
         let r =
-          Dpool.race_auto ~exec ?jobs
+          Pool.race ~jobs
             ~label:(fun i -> "sec:" ^ fst missing_arr.(i))
             ~on_result ~encode:slm_wire_to_json ~decode:slm_wire_of_json
             ~conclusive:slm_conclusive run missing
@@ -353,198 +356,3 @@ let check_slm_rtl ?jobs ?budget ?journal ?(progress = false)
                      (Dfv_error.Internal
                         "portfolio produced no outcome (empty race?)"))
              end))))
-
-(* --- frame shards: RTL vs RTL ------------------------------------------ *)
-
-type frame_wire =
-  | F_unsat of Checker.stats
-  | F_sat of Checker.rtl_cex * Checker.stats
-  | F_unknown of Solver.reason * Checker.stats
-
-let inputs_to_json inputs_per_cycle =
-  Json.List
-    (Array.to_list inputs_per_cycle
-    |> List.map (fun ins ->
-           Json.List
-             (List.map
-                (fun (port, bv) ->
-                  Json.Obj
-                    [ ("port", Json.String port);
-                      ("value", Json.String (Bitvec.to_string bv)) ])
-                ins)))
-
-let inputs_of_json = function
-  | Json.List cycles ->
-    let* per_cycle =
-      List.fold_right
-        (fun cyc acc ->
-          let* acc = acc in
-          match cyc with
-          | Json.List ins ->
-            let* ins =
-              List.fold_right
-                (fun i acc ->
-                  let* acc = acc in
-                  let* port = string_field i "port" in
-                  let* s = string_field i "value" in
-                  match Bitvec.of_string s with
-                  | bv -> Ok ((port, bv) :: acc)
-                  | exception Invalid_argument m ->
-                    Error ("bad bitvector literal: " ^ m))
-                ins (Ok [])
-            in
-            Ok (ins :: acc)
-          | _ -> Error "bad cycle inputs")
-        cycles (Ok [])
-    in
-    Ok (Array.of_list per_cycle)
-  | _ -> Error "bad inputs_per_cycle"
-
-let frame_wire_to_json = function
-  | F_unsat stats ->
-    Json.Obj [ ("frame", Json.String "unsat"); ("stats", stats_to_json stats) ]
-  | F_sat (cex, stats) ->
-    Json.Obj
-      [ ("frame", Json.String "sat");
-        ("inputs", inputs_to_json cex.Checker.inputs_per_cycle);
-        ("cycle", Json.Int cex.Checker.diverging_cycle);
-        ("port", Json.String cex.Checker.diverging_port);
-        ("a", Json.String (Bitvec.to_string cex.Checker.value_a));
-        ("b", Json.String (Bitvec.to_string cex.Checker.value_b));
-        ("stats", stats_to_json stats) ]
-  | F_unknown (r, stats) ->
-    Json.Obj
-      [ ("frame", Json.String "unknown");
-        ("reason", reason_to_json r);
-        ("stats", stats_to_json stats) ]
-
-let frame_wire_of_json v =
-  let* kind = string_field v "frame" in
-  let* stats =
-    match Json.field "stats" v with
-    | Some s -> stats_of_json s
-    | None -> Error "missing stats"
-  in
-  match kind with
-  | "unsat" -> Ok (F_unsat stats)
-  | "unknown" -> (
-    match Json.field "reason" v with
-    | Some r ->
-      let* r = reason_of_json r in
-      Ok (F_unknown (r, stats))
-    | None -> Error "unknown without reason")
-  | "sat" ->
-    let* inputs_per_cycle =
-      match Json.field "inputs" v with
-      | Some i -> inputs_of_json i
-      | None -> Error "sat frame without inputs"
-    in
-    let* diverging_cycle = int_field v "cycle" in
-    let* diverging_port = string_field v "port" in
-    let* a = string_field v "a" in
-    let* b = string_field v "b" in
-    let bv s =
-      match Bitvec.of_string s with
-      | bv -> Ok bv
-      | exception Invalid_argument m -> Error ("bad bitvector literal: " ^ m)
-    in
-    let* value_a = bv a in
-    let* value_b = bv b in
-    Ok
-      (F_sat
-         ( {
-             Checker.inputs_per_cycle;
-             diverging_cycle;
-             diverging_port;
-             value_a;
-             value_b;
-           },
-           stats ))
-  | k -> Error (Printf.sprintf "unknown frame verdict %S" k)
-
-(* Decide one frame of the product machine in a private session.  Frame
-   miters are independent — the sequential checker's blocking clauses
-   are an optimization, not a soundness requirement — so [Sat] here is a
-   real reset-reachable divergence regardless of what other frames say. *)
-let check_frame ~budget ~a ~b t =
-  let session = Session.create ?budget () in
-  let budget = Session.budget session in
-  let t0 = now () in
-  let product =
-    Session.product session ~a ~b
-      ~initial_a:(Session.reset_state a)
-      ~initial_b:(Session.reset_state b)
-  in
-  let lit = Session.frame_miter product t in
-  match Session.check ~budget session lit with
-  | Solver.Unsat ->
-    F_unsat { (Session.stats session) with wall_seconds = now () -. t0 }
-  | Solver.Unknown r ->
-    F_unknown (r, { (Session.stats session) with wall_seconds = now () -. t0 })
-  | Solver.Sat ->
-    let cex = Checker.rtl_cex_of_model session product ~a ~b ~cycles:(t + 1) in
-    F_sat (cex, { (Session.stats session) with wall_seconds = now () -. t0 })
-
-let check_rtl_rtl ?jobs ?timeout ?budget ~a ~b ~bound () =
-  Dfv_obs.Trace.with_span ~cat:"par" "par.check_rtl_rtl" @@ fun () ->
-  if bound < 1 then
-    Error (Dfv_error.Spec_violation "bound must be >= 1")
-  else begin
-    let t0 = now () in
-    let frames = List.init bound (fun t -> t) in
-    let r =
-      Pool.race ?jobs ?timeout
-        ~label:(Printf.sprintf "bmc:frame%d")
-        ~encode:frame_wire_to_json ~decode:frame_wire_of_json
-        ~conclusive:(function F_sat _ -> true | _ -> false)
-        (check_frame ~budget ~a ~b) frames
-    in
-    let stats_of_outcomes () =
-      Array.fold_left
-        (fun acc o ->
-          match o with
-          | Some (Ok (F_unsat s | F_sat (_, s) | F_unknown (_, s))) ->
-            Checker.add_stats acc s
-          | _ -> acc)
-        Checker.zero_stats r.Pool.outcomes
-    in
-    let finish stats = { stats with Checker.wall_seconds = now () -. t0 } in
-    match r.Pool.winner with
-    | Some (_, F_sat (cex, _)) ->
-      Ok (Checker.Rtl_not_equivalent (cex, finish (stats_of_outcomes ())))
-    | Some _ -> assert false (* only F_sat is conclusive *)
-    | None -> (
-      let outcomes = Array.to_list r.Pool.outcomes in
-      (* A worker timeout is the wall-clock twin of a solver budget
-         running out; a crash is not — it must not weaken the claim. *)
-      match
-        List.find_map
-          (function Some (Error (Dfv_error.Worker_crashed _ as e)) -> Some e | _ -> None)
-          outcomes
-      with
-      | Some e -> Error e
-      | None -> (
-        let unknown =
-          List.find_map
-            (function
-              | Some (Ok (F_unknown (r, _))) -> Some r
-              | Some (Error (Dfv_error.Worker_timeout _)) ->
-                Some Solver.Time_limit
-              | _ -> None)
-            outcomes
-        in
-        match unknown with
-        | Some reason ->
-          Ok (Checker.Rtl_unknown (reason, finish (stats_of_outcomes ())))
-        | None -> (
-          match
-            List.find_map
-              (function Some (Error e) -> Some e | _ -> None)
-              outcomes
-          with
-          | Some e -> Error e
-          | None ->
-            Ok
-              (Checker.Rtl_equivalent_to_bound
-                 (bound, finish (stats_of_outcomes ()))))))
-  end

@@ -1,35 +1,23 @@
-(** Portfolio SEC: equivalence checks raced across worker processes.
+(** Portfolio SEC: one SLM-vs-RTL query raced across worker processes.
 
-    Two parallelization shapes, both built on {!Pool.race}
-    ({!check_slm_rtl} through {!Dpool.race_auto}):
-
-    - {!check_slm_rtl} races {e solving strategies} — the same
-      SLM-vs-RTL query attempted with and without the SAT-sweeping
-      fallback — and takes the first conclusive verdict
-      ([Equivalent]/[Not_equivalent]), cancelling the rest.  Which
-      strategy wins the race may vary with machine load, but the verdict
-      cannot: both decide the same miter, so any conclusive answer is
-      the answer.
-
-    - {!check_rtl_rtl} shards {e BMC frames}: frame miters of the
-      product machine are mutually independent (the sequential checker's
-      blocking clauses are only an optimization), so each worker decides
-      "do the designs diverge at exactly cycle [t] from reset" in a
-      private session.  Any [Sat] frame is a real divergence and
-      cancels the rest; all-[Unsat] is the bounded equivalence claim.
+    {!check_slm_rtl} races {e solving strategies} — the same query
+    attempted with and without the SAT-sweeping fallback — on the fork
+    {!Pool.race}, and takes the first conclusive verdict
+    ([Equivalent]/[Not_equivalent]), killing the losing worker.  Which
+    strategy wins the race may vary with machine load, but the verdict
+    cannot: both decide the same miter, so any conclusive answer is the
+    answer.
 
     This module lives in [lib/par] rather than [lib/sec] because the
     pool needs the {!Dfv_core.Dfv_error} taxonomy and [lib/core] already
     depends on [lib/sec]; the portfolio wraps {!Dfv_sec.Checker} from
     the outside.
 
-    Counterexamples cross the worker pipe reduced to parameter/input
-    bitvectors (Verilog-literal strings under the [dfv-par] envelope);
-    the parent rebuilds full counterexamples via
-    {!Dfv_sec.Checker.cex_of_params} or product re-simulation.  Worker
-    failures surface as [Error] — except a worker wall-clock timeout in
-    {!check_rtl_rtl}, which degrades to [Rtl_unknown] (it is the
-    parallel analogue of a solver budget running out). *)
+    Counterexamples cross the worker pipe reduced to the SLM parameter
+    assignment (Verilog-literal strings under the [dfv-par] envelope);
+    the parent rebuilds the full counterexample via
+    {!Dfv_sec.Checker.cex_of_params}.  Worker failures surface as
+    [Error]. *)
 
 (** {2 Wire forms}
 
@@ -73,7 +61,6 @@ val check_slm_rtl :
   ?budget:Dfv_sat.Solver.budget ->
   ?journal:string ->
   ?progress:bool ->
-  ?exec:Pool.exec_mode ->
   slm:Dfv_hwir.Ast.program ->
   rtl:Dfv_rtl.Netlist.elaborated ->
   spec:Dfv_sec.Spec.t ->
@@ -83,7 +70,9 @@ val check_slm_rtl :
     First conclusive verdict wins; if every strategy returns [Unknown],
     the first strategy's [Unknown] is reported.  [Error] when every
     strategy's worker crashed.  [budget] is the per-query solver budget,
-    as in {!Dfv_sec.Checker.check_slm_rtl}.
+    as in {!Dfv_sec.Checker.check_slm_rtl}.  [jobs] (default: the core
+    count) is clamped to {!Pool.cores}; with one worker the strategies
+    run one after another, sweep first.
 
     [journal] (a file path) makes the race durable: the journal is
     bound to a campaign key derived from {!Dfv_sec.Fingerprint.pair}
@@ -95,26 +84,4 @@ val check_slm_rtl :
     are not re-run.  If {!Pool.request_stop} fires before any verdict,
     the result is [Error (Interrupted _)] so the CLI can exit with the
     resumable code.  [progress] (default false) renders a live
-    {!Progress} line per finished strategy on a TTY stderr.  [exec]
-    (default [`Fork]) selects the racing executor — see
-    {!Dpool.race_auto}. *)
-
-val check_rtl_rtl :
-  ?jobs:int ->
-  ?timeout:float ->
-  ?budget:Dfv_sat.Solver.budget ->
-  a:Dfv_rtl.Netlist.elaborated ->
-  b:Dfv_rtl.Netlist.elaborated ->
-  bound:int ->
-  unit ->
-  (Dfv_sec.Checker.rtl_verdict, Dfv_core.Dfv_error.t) result
-(** BMC with frames [0..bound-1] sharded across fork-pool workers
-    ({!Pool.race}).  Any [Sat]
-    frame yields [Rtl_not_equivalent] (the verdict class is
-    deterministic; which frame furnishes the counterexample may depend
-    on scheduling).  Otherwise: any undecided frame (solver budget or
-    worker timeout) yields [Rtl_unknown]; all frames [Unsat] yields
-    [Rtl_equivalent_to_bound].  A crashed worker yields [Error] — a
-    crash must not silently weaken an equivalence claim.  Solver
-    statistics are summed across workers; [wall_seconds] is the
-    parent's elapsed time. *)
+    {!Progress} line per finished strategy on a TTY stderr. *)

@@ -381,8 +381,7 @@ let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
 
 (* --- SLM vs SLM -------------------------------------------------------- *)
 
-let check_slm_slm ?(sweep = true) ?budget ?session ~a ~b ?(constraints = [])
-    () =
+let check_slm_slm ?budget ?session ~a ~b ?(constraints = []) () =
   let t0 = now () in
   Typecheck.check a;
   Typecheck.check b;
@@ -411,7 +410,7 @@ let check_slm_slm ?(sweep = true) ?budget ?session ~a ~b ?(constraints = [])
   in
   let cstrs = constraint_words a ~g param_shapes constraints in
   let outcome, params, dsession =
-    decide_miter ~sweep ~budget session param_shapes violated cstrs
+    decide_miter ~sweep:true ~budget session param_shapes violated cstrs
   in
   match (outcome, params) with
   | Solver.Unsat, _ -> Equivalent (stats_of dsession t0)
@@ -534,23 +533,6 @@ let check_rtl_rtl ?budget ?session ~a ~b ~bound () =
   in
   frames 0
 
-let zero_stats =
-  {
-    aig_ands = 0;
-    sat_conflicts = 0;
-    sat_decisions = 0;
-    sat_propagations = 0;
-    sat_clauses = 0;
-    learnts_removed = 0;
-    nodes_encoded = 0;
-    nodes_reused = 0;
-    unroll_hits = 0;
-    queries = 0;
-    unknowns = 0;
-    frame_seconds = [];
-    wall_seconds = 0.0;
-  }
-
 let add_stats (b : stats) (s : stats) =
   {
     s with
@@ -614,9 +596,9 @@ let check_slm_rtl ?sweep ?budget ?session ~slm ~rtl ~spec () =
   Dfv_obs.Trace.with_span ~cat:"sec" "sec.check_slm_rtl" (fun () ->
       check_slm_rtl ?sweep ?budget ?session ~slm ~rtl ~spec ())
 
-let check_slm_slm ?sweep ?budget ?session ~a ~b ?constraints () =
+let check_slm_slm ?budget ?session ~a ~b ?constraints () =
   Dfv_obs.Trace.with_span ~cat:"sec" "sec.check_slm_slm" (fun () ->
-      check_slm_slm ?sweep ?budget ?session ~a ~b ?constraints ())
+      check_slm_slm ?budget ?session ~a ~b ?constraints ())
 
 let check_rtl_rtl ?budget ?session ~a ~b ~bound () =
   Dfv_obs.Trace.with_span ~cat:"sec" "sec.check_rtl_rtl" (fun () ->

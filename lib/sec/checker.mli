@@ -43,13 +43,6 @@ type stats = Session.stats = {
     session the counters are cumulative over that session's lifetime;
     [wall_seconds] is always the reporting call's own elapsed time. *)
 
-val zero_stats : stats
-(** All counters zero, no frame times: the unit of {!add_stats}. *)
-
-val add_stats : stats -> stats -> stats
-(** [add_stats a b] sums the counters of [a] and [b] and appends [b]'s
-    frame times to [a]'s; [wall_seconds] is [b]'s. *)
-
 type cex = {
   params : (string * Dfv_hwir.Interp.value) list;
       (** SLM argument values that exhibit the divergence. *)
@@ -109,7 +102,6 @@ val check_slm_rtl :
     budget; when it runs out the verdict is {!Unknown}. *)
 
 val check_slm_slm :
-  ?sweep:bool ->
   ?budget:Dfv_sat.Solver.budget ->
   ?session:Session.t ->
   a:Dfv_hwir.Ast.program ->
@@ -142,21 +134,6 @@ type rtl_verdict =
   | Rtl_not_equivalent of rtl_cex * stats
   | Rtl_unknown of Dfv_sat.Solver.reason * stats
       (** The budget ran out before some frame was decided. *)
-
-val rtl_cex_of_model :
-  Session.t ->
-  Session.product ->
-  a:Dfv_rtl.Netlist.elaborated ->
-  b:Dfv_rtl.Netlist.elaborated ->
-  cycles:int ->
-  rtl_cex
-(** [rtl_cex_of_model session product ~a ~b ~cycles] turns the
-    session's SAT model of a frame miter over [product] into a
-    counterexample: the first [cycles] cycles of product inputs are read
-    out of the model, and both designs are simulated from reset on them
-    to the first cycle, output port and pair of values where they
-    differ.  Raises {!Spec_error} if they do not diverge (a checker
-    bug). *)
 
 val check_rtl_rtl :
   ?budget:Dfv_sat.Solver.budget ->

@@ -189,13 +189,17 @@ let test_portfolio_slm_rtl_equivalent () =
   | Ok (Checker.Unknown _) -> Alcotest.fail "alu should be decided"
   | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
 
-let test_portfolio_slm_rtl_cex () =
+(* The alu pair with its RTL broken by the first enumerated mutation, so
+   a race must produce (and the parent must reconstruct) a
+   counterexample. *)
+let alu_mutant () =
   let slm, rtl, spec = alu_pair () in
-  (* Break the RTL with the first enumerated mutation so the race must
-     produce (and the parent must reconstruct) a counterexample. *)
   let fault = List.hd (Dfv_fault.Fault.enumerate_rtl ~seed:0 ~max_faults:1 rtl) in
-  let rtl' = fault.Dfv_fault.Fault.rf_apply rtl in
-  match Portfolio.check_slm_rtl ~jobs:2 ~slm ~rtl:rtl' ~spec () with
+  (slm, fault.Dfv_fault.Fault.rf_apply rtl, spec)
+
+let test_portfolio_slm_rtl_cex () =
+  let slm, rtl, spec = alu_mutant () in
+  match Portfolio.check_slm_rtl ~jobs:2 ~slm ~rtl ~spec () with
   | Ok (Checker.Not_equivalent (cex, _)) ->
     Alcotest.(check bool)
       "cex carries parameters" true
@@ -205,39 +209,6 @@ let test_portfolio_slm_rtl_cex () =
       (cex.Checker.failed_checks <> [])
   | Ok (Checker.Equivalent _) -> Alcotest.fail "mutant not detected"
   | Ok (Checker.Unknown _) -> Alcotest.fail "mutant should be decided"
-  | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
-
-let counter_rtl ~start =
-  (* A 4-bit counter from [start]; two instances with different reset
-     values diverge at frame 0 on the output. *)
-  let module Netlist = Dfv_rtl.Netlist in
-  let module Expr = Dfv_rtl.Expr in
-  Netlist.elaborate
-    {
-      (Netlist.empty "counter") with
-      Netlist.inputs = [ { Netlist.port_name = "en"; port_width = 1 } ];
-      outputs = [ ("q", Expr.sig_ "cnt") ];
-      regs =
-        [ Netlist.reg ~name:"cnt" ~width:4
-            ~init:(Dfv_bitvec.Bitvec.create ~width:4 start)
-            (Expr.mux (Expr.sig_ "en")
-               (Expr.Binop (Expr.Add, Expr.sig_ "cnt", Expr.const ~width:4 1))
-               (Expr.sig_ "cnt")) ];
-    }
-
-let test_portfolio_rtl_rtl () =
-  let a = counter_rtl ~start:0 in
-  match Portfolio.check_rtl_rtl ~jobs:2 ~a ~b:a ~bound:4 () with
-  | Ok (Checker.Rtl_equivalent_to_bound (4, _)) -> ()
-  | Ok _ -> Alcotest.fail "identical designs must be bounded-equivalent"
-  | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
-
-let test_portfolio_rtl_rtl_diverges () =
-  let a = counter_rtl ~start:0 and b = counter_rtl ~start:5 in
-  match Portfolio.check_rtl_rtl ~jobs:2 ~a ~b ~bound:4 () with
-  | Ok (Checker.Rtl_not_equivalent (cex, _)) ->
-    Alcotest.(check string) "diverges on q" "q" cex.Checker.diverging_port
-  | Ok _ -> Alcotest.fail "different resets must diverge"
   | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
 
 (* --- journal: durability and the corruption policy -------------------- *)
@@ -398,6 +369,59 @@ let test_journal_version_mismatch () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "version mismatch must be rejected");
   Sys.remove path
+
+(* A journal whose directory is missing cannot be created: that is an
+   [Error] naming the path, which every caller reports, not an
+   exception. *)
+let test_journal_missing_dir () =
+  let dir = Filename.temp_file "dfv_nodir" "" in
+  Sys.remove dir;
+  let path = Filename.concat dir "x.journal" in
+  match Journal.open_ ~path ~campaign:"c" with
+  | Error m ->
+    Alcotest.(check bool)
+      "names the path" true
+      (String.starts_with ~prefix:("cannot create " ^ path ^ ": ") m)
+  | Ok _ -> Alcotest.fail "a journal under a missing directory must fail"
+
+(* A journaled race: the winning verdict is appended as it lands, a
+   second call on the same journal replays it without starting a worker,
+   and a different budget is a different campaign. *)
+let test_portfolio_journaled_race () =
+  let slm, rtl, spec = alu_mutant () in
+  let path = tmp_journal () in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let params = function
+    | Ok (Checker.Not_equivalent (cex, _)) -> cex.Checker.params
+    | Ok _ -> Alcotest.fail "the mutant must be Not_equivalent"
+    | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
+  in
+  let first =
+    params (Portfolio.check_slm_rtl ~jobs:1 ~journal:path ~slm ~rtl ~spec ())
+  in
+  (match Journal.inspect path with
+  | Ok info ->
+    Alcotest.(check int)
+      "one strategy journaled" 1
+      (List.length info.Journal.info_records)
+  | Error m -> Alcotest.failf "inspect: %s" m);
+  let shipped = Dfv_obs.Metrics.counter "pool.telemetry.shipped" in
+  let shipped0 = Dfv_obs.Metrics.counter_value shipped in
+  let replayed =
+    params (Portfolio.check_slm_rtl ~jobs:1 ~journal:path ~slm ~rtl ~spec ())
+  in
+  Alcotest.(check bool) "replayed params" true (first = replayed);
+  Alcotest.(check int)
+    "no worker ran" shipped0
+    (Dfv_obs.Metrics.counter_value shipped);
+  let budget = { Dfv_sat.Solver.max_conflicts = Some 10; max_seconds = None } in
+  match
+    Portfolio.check_slm_rtl ~jobs:1 ~budget ~journal:path ~slm ~rtl ~spec ()
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a different budget must not resume the journal"
 
 (* --- self-healing retry and cooperative stop -------------------------- *)
 
@@ -647,46 +671,6 @@ let test_dpool_stop_interrupts () =
         Alcotest.failf "expected Interrupted, got %s" (Dfv_error.to_string e))
     out
 
-(* Race: the lowest-index conclusive result wins, and cancellation stops
-   the remaining queue — jobs not yet started never run (they cannot be
-   killed mid-flight like fork workers, so in-flight stragglers may
-   finish, but their outcomes are discarded). *)
-let test_dpool_race_wins_and_cancels () =
-  let ran = Atomic.make 0 in
-  let n = 64 in
-  let r =
-    Dpool.race ~jobs:4
-      ~conclusive:(fun v -> v >= 0)
-      (fun x ->
-        Atomic.incr ran;
-        if x = 0 then 100
-        else begin
-          (* losers are slow enough for the coordinator to wake and
-             flip the cancel flag before the queue drains *)
-          Unix.sleepf 0.002;
-          -1
-        end)
-      (List.init n (fun i -> i))
-  in
-  (match r.Pool.winner with
-  | Some (0, 100) -> ()
-  | _ -> Alcotest.fail "expected job 0 to win with 100");
-  Alcotest.(check bool)
-    "cancellation pruned the queue" true
-    (Atomic.get ran < n);
-  (* a discarded straggler never surfaces as a recorded loss after the
-     winner: every non-winning outcome is either unrecorded or a result
-     delivered before the win *)
-  Array.iteri
-    (fun i o ->
-      match o with
-      | None -> ()
-      | Some (Ok v) ->
-        if i = 0 then Alcotest.(check int) "winner recorded" 100 v
-      | Some (Error e) ->
-        Alcotest.failf "unexpected error outcome: %s" (Dfv_error.to_string e))
-    r.Pool.outcomes
-
 (* Domains telemetry: merged worker-domain sinks equal an in-process
    sequential run of the same work — same property the fork pool's
    test_pool_telemetry_parity establishes, on the other executor.  The
@@ -893,10 +877,6 @@ let suite =
       test_portfolio_slm_rtl_equivalent;
     Alcotest.test_case "portfolio slm-rtl counterexample" `Quick
       test_portfolio_slm_rtl_cex;
-    Alcotest.test_case "portfolio rtl-rtl bounded equivalent" `Quick
-      test_portfolio_rtl_rtl;
-    Alcotest.test_case "portfolio rtl-rtl divergence" `Quick
-      test_portfolio_rtl_rtl_diverges;
     Alcotest.test_case "journal round-trip and campaign binding" `Quick
       test_journal_roundtrip;
     Alcotest.test_case "journal tolerates and repairs a torn tail" `Quick
@@ -907,6 +887,10 @@ let suite =
       test_journal_duplicate_fp;
     Alcotest.test_case "journal rejects a version mismatch" `Quick
       test_journal_version_mismatch;
+    Alcotest.test_case "journal under a missing directory is an error"
+      `Quick test_journal_missing_dir;
+    Alcotest.test_case "portfolio race resumes from its journal" `Quick
+      test_portfolio_journaled_race;
     Alcotest.test_case "transient worker crash healed by retry" `Quick
       test_retry_heals_transient_crash;
     Alcotest.test_case "request_stop interrupts a map" `Quick
@@ -933,8 +917,6 @@ let domains_suite =
       test_dpool_raise_isolated;
     Alcotest.test_case "dpool request_stop interrupts a map" `Quick
       test_dpool_stop_interrupts;
-    Alcotest.test_case "dpool race wins lowest index and cancels" `Quick
-      test_dpool_race_wins_and_cancels;
     Alcotest.test_case "dpool telemetry merges to the sequential run" `Quick
       test_dpool_telemetry_parity;
     Alcotest.test_case "campaign verdicts invariant under domains executor"
