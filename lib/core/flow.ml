@@ -71,41 +71,15 @@ let constraint_checkers ?engine (pair : Pair.t) =
         | exception Interp.Runtime_error _ -> false)
     pair.Pair.spec.Spec.constraints
 
-let concrete_source params (src : Spec.source) =
-  match src with
-  | Spec.Const bv -> bv
-  | Spec.Param name -> (
-    match List.assoc name params with
-    | Interp.Vint bv -> bv
-    | Interp.Varr _ -> failwith "Flow: array param used as scalar")
-  | Spec.Param_elem (name, i) -> (
-    match List.assoc name params with
-    | Interp.Varr a -> a.(i)
-    | Interp.Vint _ -> failwith "Flow: scalar param indexed")
-  | Spec.Param_bits { name; hi; lo } -> (
-    match List.assoc name params with
-    | Interp.Vint bv -> Bitvec.select bv ~hi ~lo
-    | Interp.Varr _ -> failwith "Flow: array param sliced")
-
-let drive_inputs (spec : Spec.t) params t =
-  List.map
-    (fun (port, drive) ->
-      let src =
-        match drive with Spec.Hold bv -> Spec.Const bv | Spec.At f -> f t
-      in
-      (port, concrete_source params src))
-    spec.Spec.drives
-
-(* Run one concrete transaction through the RTL simulator and compare the
-   spec's checks against the SLM result ([slm_exec] is the prepared
-   engine for the pair's model). *)
-let run_transaction (pair : Pair.t) slm_exec params =
+(* Run one concrete transaction through the RTL simulator [sim] from
+   its reset state and compare the spec's checks against the SLM's
+   result for the same [params]. *)
+let run_transaction (pair : Pair.t) sim params slm_result =
   let spec = pair.Pair.spec in
-  let slm_result = Exec.run slm_exec (List.map snd params) in
-  let sim = Sim.create pair.Pair.rtl in
+  Sim.reset sim;
   let outputs = Array.make spec.Spec.rtl_cycles [] in
   for t = 0 to spec.Spec.rtl_cycles - 1 do
-    outputs.(t) <- Sim.cycle sim (drive_inputs spec params t)
+    outputs.(t) <- Sim.cycle sim (Spec.inputs_at spec params t)
   done;
   let expected (c : Spec.check) =
     match (c.Spec.expect, slm_result) with
@@ -182,6 +156,9 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
     let st = Random.State.make [| seed; Hashtbl.hash pair.Pair.name |] in
     let slm_exec = prepare ?engine pair.Pair.slm in
     let checkers = constraint_checkers ?engine pair in
+    (* One simulator for the whole run, compiled at the first
+       transaction and reset before each one. *)
+    let sim = lazy (Sim.create pair.Pair.rtl) in
     let nconstraints = List.length checkers in
     let unsat_counts = Array.make (max nconstraints 1) 0 in
     let total_attempts = ref 0 in
@@ -217,11 +194,12 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
                  unsat_counts.(i))
         |> String.concat ", "
     in
-    (* One satisfying vector, or [None] when the widening search is
-       exhausted.  Round [r] gets a doubled attempt budget; from round 1
-       on, every other candidate is a bit-flip mutation of the best
-       (most-constraints-satisfied) candidate seen so far.  Accepted
-       vectors always satisfy every constraint. *)
+    (* One satisfying vector with the SLM's result on it, or [None] when
+       the widening search is exhausted.  Round [r] gets a doubled
+       attempt budget; from round 1 on, every other candidate is a
+       bit-flip mutation of the best (most-constraints-satisfied)
+       candidate seen so far.  Accepted vectors always satisfy every
+       constraint. *)
     let draw () =
       let best = ref None in
       let rec round r =
@@ -245,7 +223,7 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
                 (* Vectors on which the SLM itself faults (e.g. division
                    by zero) are outside the comparison domain; redraw. *)
                 match Exec.run slm_exec (List.map snd params) with
-                | _ -> Some params
+                | slm_result -> Some (params, slm_result)
                 | exception Interp.Runtime_error _ -> attempt (i + 1)
               else attempt (i + 1)
             end
@@ -267,9 +245,9 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
                  rounds = max_rounds;
                  detail = tightest ();
                })
-        | Some params -> (
+        | Some (params, slm_result) -> (
           sample_stimulus cov_points params;
-          match run_transaction pair slm_exec params with
+          match run_transaction pair (Lazy.force sim) params slm_result with
           | [] -> loop (i + 1)
           | failed_checks ->
             Trace.instant ~cat:"flow"
@@ -379,7 +357,7 @@ let vcd_slice (pair : Pair.t) params ~window:(lo, hi) =
   let buf = Buffer.create 1024 in
   let vcd = Vcd.create buf pair.Pair.rtl sim in
   for t = 0 to spec.Spec.rtl_cycles - 1 do
-    ignore (Sim.cycle sim (drive_inputs spec params t));
+    ignore (Sim.cycle sim (Spec.inputs_at spec params t));
     if t >= lo && t <= hi then Vcd.sample vcd
   done;
   Buffer.contents buf

@@ -30,6 +30,9 @@ val simulate :
   Pair.t ->
   (sim_outcome, Dfv_error.t) result
 (** Run [vectors] random transactions, stopping at the first mismatch.
+    The RTL simulator is compiled once per call, at the first
+    transaction, and reset before every transaction; the SLM runs once
+    per vector.
 
     [engine] selects how the SLM side executes: [`Compiled] lowers the
     model through the verified normal form onto the shared slot-indexed

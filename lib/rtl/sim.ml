@@ -15,6 +15,7 @@ type interp = {
 
 let m_cycles = Dfv_obs.Metrics.counter "rtl.sim.cycles"
 let m_evals = Dfv_obs.Metrics.counter "rtl.sim.evals"
+let m_compiles = Dfv_obs.Metrics.counter "rtl.sim.compiles"
 
 let mem_initial mem =
   match mem.mem_init with
@@ -187,7 +188,10 @@ type t = {
 let create ?(engine = `Compiled) design =
   let kernel =
     match engine with
-    | `Compiled -> Compiled (Compile.compile design)
+    | `Compiled ->
+      let c = Compile.compile design in
+      Dfv_obs.Metrics.incr m_compiles;
+      Compiled c
     | `Interp ->
       let st =
         { design; values = Hashtbl.create 64; mems = Hashtbl.create 8 }

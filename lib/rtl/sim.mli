@@ -20,7 +20,9 @@ type engine = [ `Compiled | `Interp ]
 val create : ?engine:engine -> Netlist.elaborated -> t
 (** Instantiate a simulator in its reset state (registers at their init
     values, memories at their init contents or zero).  [engine]
-    defaults to [`Compiled]. *)
+    defaults to [`Compiled], which compiles the netlist here and counts
+    one [rtl.sim.compiles]; to run many transactions, create once and
+    {!reset} between them. *)
 
 val engine : t -> engine
 (** Which kernel this simulator runs on. *)

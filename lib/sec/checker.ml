@@ -227,13 +227,12 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
    worker ship only [params] (plain bitvectors) over its result pipe
    and the parent reconstruct the rest here. *)
 let cex_of_params ~slm ~rtl ~(spec : Spec.t) params =
-  let port_width p =
-    match
-      List.find_opt (fun q -> q.Netlist.port_name = p) rtl.Netlist.e_inputs
-    with
-    | Some q -> q.Netlist.port_width
-    | None -> fail "no RTL input port named %s" p
-  in
+  List.iter
+    (fun (p, _) ->
+      let named q = q.Netlist.port_name = p in
+      if not (List.exists named rtl.Netlist.e_inputs) then
+        fail "no RTL input port named %s" p)
+    spec.drives;
   let slm_result =
     match Interp.run slm (List.map snd params) with
     | v -> Some v
@@ -242,39 +241,9 @@ let cex_of_params ~slm ~rtl ~(spec : Spec.t) params =
   (* Re-simulate the RTL on the concrete stimulus to report the actual
      diverging values. *)
   let sim = Sim.create rtl in
-  let concrete_source (src : Spec.source) width =
-    match src with
-    | Spec.Const bv -> bv
-    | Spec.Param name -> (
-      match List.assoc name params with
-      | Interp.Vint bv -> bv
-      | Interp.Varr _ -> assert false)
-    | Spec.Param_elem (name, i) -> (
-      match List.assoc name params with
-      | Interp.Varr a -> a.(i)
-      | Interp.Vint _ -> assert false)
-    | Spec.Param_bits { name; hi; lo } -> (
-      match List.assoc name params with
-      | Interp.Vint bv ->
-        ignore width;
-        Bitvec.select bv ~hi ~lo
-      | Interp.Varr _ -> assert false)
-  in
   let rtl_outputs = Array.make spec.rtl_cycles [] in
   for t = 0 to spec.rtl_cycles - 1 do
-    let ins =
-      List.map
-        (fun (port, drive) ->
-          let width = port_width port in
-          let src =
-            match drive with
-            | Spec.Hold bv -> Spec.Const bv
-            | Spec.At f -> f t
-          in
-          (port, concrete_source src width))
-        spec.drives
-    in
-    rtl_outputs.(t) <- Sim.cycle sim ins
+    rtl_outputs.(t) <- Sim.cycle sim (Spec.inputs_at spec params t)
   done;
   let expected_value (c : Spec.check) =
     match (c.expect, slm_result) with

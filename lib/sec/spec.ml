@@ -1,4 +1,5 @@
 module Bitvec = Dfv_bitvec.Bitvec
+module Interp = Dfv_hwir.Interp
 
 type drive = Hold of Bitvec.t | At of (int -> source)
 
@@ -35,3 +36,26 @@ let stream_in ~param ~count ?(start = 0) ?(stride = 1) () =
 let stream_out ~rtl_port ~count ?(start = 0) ?(stride = 1) () =
   List.init count (fun i ->
       { rtl_port; at_cycle = start + (i * stride); expect = Result_elem i })
+
+let source_value params (src : source) =
+  match src with
+  | Const bv -> bv
+  | Param name -> (
+    match List.assoc name params with
+    | Interp.Vint bv -> bv
+    | Interp.Varr _ -> failwith "Flow: array param used as scalar")
+  | Param_elem (name, i) -> (
+    match List.assoc name params with
+    | Interp.Varr a -> a.(i)
+    | Interp.Vint _ -> failwith "Flow: scalar param indexed")
+  | Param_bits { name; hi; lo } -> (
+    match List.assoc name params with
+    | Interp.Vint bv -> Bitvec.select bv ~hi ~lo
+    | Interp.Varr _ -> failwith "Flow: array param sliced")
+
+let inputs_at spec params t =
+  List.map
+    (fun (port, drive) ->
+      let src = match drive with Hold bv -> Const bv | At f -> f t in
+      (port, source_value params src))
+    spec.drives

@@ -56,3 +56,15 @@ val stream_out :
   rtl_port:string -> count:int -> ?start:int -> ?stride:int -> unit -> check list
 (** Compare an array result element per cycle: element [i] against
     [rtl_port] at cycle [start + i*stride]. *)
+
+val inputs_at :
+  t ->
+  (string * Dfv_hwir.Interp.value) list ->
+  int ->
+  (string * Dfv_bitvec.Bitvec.t) list
+(** [inputs_at spec params t] is the RTL input vector of cycle [t] of
+    the transaction that [params] (the SLM argument assignment) drives:
+    one value per entry of [drives], in order.  Raises [Not_found] for
+    a parameter [params] lacks and [Failure] when a source does not fit
+    its parameter's shape (an array used as a scalar, or a scalar
+    indexed or sliced). *)

@@ -145,6 +145,71 @@ let test_flow_simulate_exhaustion_is_typed () =
   | Error e ->
     Alcotest.failf "wrong error class: %s" (Dfv_error.to_string e)
 
+(* A run compiles its RTL once, however many transactions it makes. *)
+let test_flow_simulate_compiles_once () =
+  let module Metrics = Dfv_obs.Metrics in
+  let compiles = Metrics.counter "rtl.sim.compiles"
+  and cycles = Metrics.counter "rtl.sim.cycles" in
+  let compiles0 = Metrics.counter_value compiles
+  and cycles0 = Metrics.counter_value cycles in
+  (match Flow.simulate ~vectors:100 (alu_pair ()) with
+  | Ok (Flow.Sim_clean { vectors }) -> check_int "all run" 100 vectors
+  | Ok (Flow.Sim_mismatch _) | Error _ ->
+    Alcotest.fail "clean ALU did not simulate clean");
+  check_int "one compile per run" 1
+    (Metrics.counter_value compiles - compiles0);
+  check_int "one cycle per transaction" 100
+    (Metrics.counter_value cycles - cycles0)
+
+(* Every transaction starts from the RTL's reset state.  The RTL is a
+   free-running counter whose cycle-0 output is its own register, and
+   the SLM returns that register's init value: a simulator carried over
+   from the previous transaction without a reset would read 7, not 5,
+   at transaction 1. *)
+let test_flow_simulate_resets_between_transactions () =
+  let open Ast in
+  let slm =
+    {
+      funcs =
+        [ {
+            fname = "f";
+            params = [ ("x", uint 8) ];
+            ret = uint 8;
+            locals = [];
+            body = [ ret (u 8 5) ];
+          } ];
+      entry = "f";
+    }
+  in
+  let rtl =
+    let module Netlist = Dfv_rtl.Netlist in
+    let module Expr = Dfv_rtl.Expr in
+    let count = Expr.sig_ "count" in
+    Netlist.elaborate
+      {
+        (Netlist.empty "counter") with
+        Netlist.inputs = [ { Netlist.port_name = "x"; port_width = 8 } ];
+        regs =
+          [ Netlist.reg ~init:(Bitvec.create ~width:8 5) ~name:"count"
+              ~width:8 Expr.(count +: const ~width:8 1) ];
+        outputs = [ ("q", count) ];
+      }
+  in
+  let spec =
+    {
+      Spec.rtl_cycles = 2;
+      drives = [ ("x", Spec.At (fun _ -> Spec.Param "x")) ];
+      checks = [ { Spec.rtl_port = "q"; at_cycle = 0; expect = Spec.Result } ];
+      constraints = [];
+    }
+  in
+  let pair = Pair.create ~name:"counter" ~slm ~rtl ~spec in
+  match Flow.simulate ~vectors:20 pair with
+  | Ok (Flow.Sim_clean { vectors }) -> check_int "all run" 20 vectors
+  | Ok (Flow.Sim_mismatch { vector_index; _ }) ->
+    Alcotest.failf "state leaked into transaction %d" vector_index
+  | Error e -> Alcotest.failf "counter errored: %s" (Dfv_error.to_string e)
+
 let test_flow_verify_proves () =
   let r = Flow.verify (alu_pair ()) in
   match r.Flow.outcome with
@@ -313,6 +378,10 @@ let suite =
       test_flow_simulate_widening_finds_narrow_constraint;
     Alcotest.test_case "simulate exhaustion is typed" `Quick
       test_flow_simulate_exhaustion_is_typed;
+    Alcotest.test_case "simulate compiles the RTL once" `Quick
+      test_flow_simulate_compiles_once;
+    Alcotest.test_case "simulate resets between transactions" `Quick
+      test_flow_simulate_resets_between_transactions;
     Alcotest.test_case "verify proves" `Quick test_flow_verify_proves;
     Alcotest.test_case "verify refutes" `Quick test_flow_verify_refutes;
     Alcotest.test_case "verify falls back to simulation" `Quick

@@ -43,7 +43,9 @@ let pp_obs fmt = function
 let obs_t = Alcotest.testable pp_obs ( = )
 
 (* Drive both engines with the same inputs for [cycles] cycles and hold
-   them to identical outputs, peeks, memory contents and VCD dumps. *)
+   them to identical outputs, peeks, memory contents and VCD dumps; then
+   reset both and hold their replay of the first inputs to a fresh
+   simulator's. *)
 let diff_design ?(cycles = 50) ~seed name (design : Netlist.elaborated) =
   let st = Random.State.make [| seed |] in
   let sim_c = Sim.create ~engine:`Compiled design in
@@ -72,6 +74,7 @@ let diff_design ?(cycles = 50) ~seed name (design : Netlist.elaborated) =
       design.Netlist.e_mems
   in
   check_state "post-reset";
+  let recorded = Array.make cycles [] in
   for c = 1 to cycles do
     let inputs =
       List.map
@@ -79,6 +82,7 @@ let diff_design ?(cycles = 50) ~seed name (design : Netlist.elaborated) =
           (p.Netlist.port_name, Bitvec.random st ~width:p.Netlist.port_width))
         design.Netlist.e_inputs
     in
+    recorded.(c - 1) <- inputs;
     let out_i = obs_cycle sim_i inputs in
     let out_c = obs_cycle sim_c inputs in
     Alcotest.check obs_t
@@ -95,7 +99,33 @@ let diff_design ?(cycles = 50) ~seed name (design : Netlist.elaborated) =
   (* Reset returns both engines to the same initial state. *)
   Sim.reset sim_c;
   Sim.reset sim_i;
-  check_state "post-second-reset"
+  check_state "post-second-reset";
+  (* ...from which they replay the run's first inputs exactly as a
+     freshly created simulator does. *)
+  let fresh = Sim.create design in
+  for c = 1 to min 10 cycles do
+    let inputs = recorded.(c - 1) in
+    let out_f = obs_cycle fresh inputs in
+    List.iter
+      (fun (tag, sim) ->
+        Alcotest.check obs_t
+          (Printf.sprintf "%s: replay cycle %d outputs, reset %s" name c tag)
+          out_f (obs_cycle sim inputs))
+      [ ("compiled", sim_c); ("interp", sim_i) ]
+  done;
+  List.iter
+    (fun m ->
+      for i = 0 to m.Netlist.mem_size - 1 do
+        let word sim = Sim.peek_mem sim m.Netlist.mem_name i in
+        List.iter
+          (fun (tag, sim) ->
+            Alcotest.check bv
+              (Printf.sprintf "%s: replay mem %s[%d], reset %s" name
+                 m.Netlist.mem_name i tag)
+              (word fresh) (word sim))
+          [ ("compiled", sim_c); ("interp", sim_i) ]
+      done)
+    design.Netlist.e_mems
 
 (* --- random netlist generation ------------------------------------------ *)
 
