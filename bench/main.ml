@@ -1249,20 +1249,28 @@ let c8 () =
   in
   let reference = ref [||] in
   Printf.printf "  %-10s %10s %14s %10s\n" "pipeline" "rtl-cycles" "wall" "output";
-  List.iter
-    (fun (name, stages) ->
-      let t0 = now () in
-      let out, stats = Stream.run_pipeline stages pixels in
-      let dt = now () -. t0 in
-      let cycles =
-        List.fold_left (fun acc s -> acc + s.Stream.cycles) 0 stats
-      in
-      if !reference = [||] then reference := out;
-      Printf.printf "  %-10s %10d %12.1fms %10s\n%!" name cycles (1000.0 *. dt)
-        (if Array.for_all2 Bitvec.equal !reference out then "identical"
-         else "DIFFERS");
-      ())
-    configs;
+  let differing =
+    List.filter
+      (fun (name, stages) ->
+        let t0 = now () in
+        let out, stats = Stream.run_pipeline stages pixels in
+        let dt = now () -. t0 in
+        let cycles =
+          List.fold_left (fun acc s -> acc + s.Stream.cycles) 0 stats
+        in
+        if !reference = [||] then reference := out;
+        let same = Array.for_all2 Bitvec.equal !reference out in
+        Printf.printf "  %-10s %10d %12.1fms %10s\n%!" name cycles
+          (1000.0 *. dt)
+          (if same then "identical" else "DIFFERS");
+        not same)
+      configs
+  in
+  if differing <> [] then begin
+    Printf.printf "REGRESSION: output differs from SLM | SLM in %s\n"
+      (String.concat ", " (List.map fst differing));
+    exit 1
+  end;
   print_endline
     "shape check: every mix produces identical output; each swapped-in RTL\n\
      block adds simulation cost (the cosim price of detail)."

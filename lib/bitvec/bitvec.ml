@@ -39,24 +39,29 @@ let ones w =
 
 let create ~width v =
   check_width width;
-  let n = nlimbs width in
-  let limbs = Array.make n 0 in
-  (* Fill from [v]; negative values sign-extend with all-ones limbs. *)
-  let fill = if v < 0 then limb_mask else 0 in
-  let rec loop i x =
-    if i < n then begin
-      limbs.(i) <- x land limb_mask;
-      (* Arithmetic shift keeps the sign for negative [v]. *)
-      loop (i + 1) (x asr limb_bits)
-    end
-  in
-  loop 0 v;
-  (* [asr] exhausts to 0 or -1; pad remaining limbs accordingly. *)
-  let filled = min n ((Sys.int_size + limb_bits - 1) / limb_bits) in
-  for i = filled to n - 1 do
-    limbs.(i) <- fill
-  done;
-  normalize width limbs
+  if width <= limb_bits then
+    (* One limb, the common case: the same value as the loop below. *)
+    { width; limbs = [| v land top_mask width |] }
+  else begin
+    let n = nlimbs width in
+    let limbs = Array.make n 0 in
+    (* Fill from [v]; negative values sign-extend with all-ones limbs. *)
+    let fill = if v < 0 then limb_mask else 0 in
+    let rec loop i x =
+      if i < n then begin
+        limbs.(i) <- x land limb_mask;
+        (* Arithmetic shift keeps the sign for negative [v]. *)
+        loop (i + 1) (x asr limb_bits)
+      end
+    in
+    loop 0 v;
+    (* [asr] exhausts to 0 or -1; pad remaining limbs accordingly. *)
+    let filled = min n ((Sys.int_size + limb_bits - 1) / limb_bits) in
+    for i = filled to n - 1 do
+      limbs.(i) <- fill
+    done;
+    normalize width limbs
+  end
 
 let one w = create ~width:w 1
 let of_bool b = if b then one 1 else zero 1
@@ -115,23 +120,11 @@ let to_int t =
 let to_signed_int t =
   if not (msb t) then to_int t
   else begin
-    (* Value is negative: compute -(two's complement). *)
-    let n = Array.length t.limbs in
-    (* Negate: invert all valid bits, add one, then read as unsigned. *)
-    let limbs = Array.map (fun l -> lnot l land limb_mask) t.limbs in
-    let rec add1 i =
-      if i < n then begin
-        let s = limbs.(i) + 1 in
-        limbs.(i) <- s land limb_mask;
-        if s > limb_mask then add1 (i + 1)
-      end
-    in
-    add1 0;
-    let v = normalize t.width limbs in
-    let mag =
-      try to_int v with Failure _ -> failwith "Bitvec.to_signed_int: value too wide"
-    in
-    -mag
+    (* Negative: the complement is [-t - 1], which fits an int exactly
+       when [t] does, [min_int] included (its magnitude does not). *)
+    let inverted = Array.map (fun l -> lnot l land limb_mask) t.limbs in
+    try lnot (to_int (normalize t.width inverted))
+    with Failure _ -> failwith "Bitvec.to_signed_int: value too wide"
   end
 
 (* ------------------------------------------------------------------ *)

@@ -86,27 +86,28 @@ let run_rtl name (c : rtl_config) (input : data) : data * int =
     let budget =
       match c.max_cycles with Some m -> m | None -> (16 * n) + 64
     in
-    let collected = ref [] in
+    let valid_bit b =
+      match c.in_valid with Some p -> [ (p, Bitvec.of_bool b) ] | None -> []
+    in
+    let valid_on = valid_bit true and valid_off = valid_bit false in
+    let idle = Bitvec.zero width in
+    let collected = Array.make n idle in
+    let feed_at = Array.make n 0 (* the cycle each element was fed on *) in
     let ncollected = ref 0 in
     let fed = ref 0 in
-    let feed_cycles : (int, unit) Hashtbl.t = Hashtbl.create 64 in
     let cycle = ref 0 in
     while !ncollected < n && !cycle < budget do
       let feeding = !fed < n && not (c.stall !cycle) in
       let data_in =
         if feeding then input.(!fed)
         else if !fed > 0 then input.(!fed - 1)
-        else Bitvec.zero width
+        else idle
       in
       let inputs =
-        (c.in_port, data_in)
-        ::
-        (match c.in_valid with
-        | Some p -> [ (p, Bitvec.of_bool feeding) ]
-        | None -> [])
+        (c.in_port, data_in) :: (if feeding then valid_on else valid_off)
       in
       if feeding then begin
-        Hashtbl.replace feed_cycles !cycle ();
+        feed_at.(!fed) <- !cycle;
         incr fed
       end;
       let outs = Sim.cycle sim inputs in
@@ -115,11 +116,13 @@ let run_rtl name (c : rtl_config) (input : data) : data * int =
         | Some p -> Bitvec.reduce_or (List.assoc p outs)
         | None ->
           (* Without a valid signal, assume a fixed latency: element i's
-             output appears [latency] cycles after element i was fed. *)
-          Hashtbl.mem feed_cycles (!cycle - c.latency)
+             output appears [latency] cycles after element i was fed.
+             Feed cycles increase, so the one due is the oldest
+             uncollected element's. *)
+          !ncollected < !fed && feed_at.(!ncollected) + c.latency = !cycle
       in
-      if valid && !ncollected < n then begin
-        collected := List.assoc c.out_port outs :: !collected;
+      if valid then begin
+        collected.(!ncollected) <- List.assoc c.out_port outs;
         incr ncollected
       end;
       incr cycle
@@ -127,7 +130,7 @@ let run_rtl name (c : rtl_config) (input : data) : data * int =
     if !ncollected < n then
       fail "stage %s: produced %d of %d outputs within %d cycles" name
         !ncollected n budget;
-    (Array.of_list (List.rev !collected), !cycle)
+    (collected, !cycle)
   end
 
 let run_stage stage input =

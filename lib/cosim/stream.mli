@@ -48,14 +48,18 @@ val rtl_stage :
   stage
 (** A wrapped-RTL stage.  Elements are fed one per cycle on [in_port];
     when [in_valid] is given that port is driven 1 on feeding cycles and
-    0 otherwise.  Outputs are collected from [out_port]: on cycles where
-    [out_valid] (if given) reads 1, otherwise on every cycle starting
-    when the first element was fed (fixed-latency designs should supply
-    [out_valid] or tolerate the default).  [stall] makes the driver
+    0 otherwise.  On a cycle that feeds nothing, [in_port] keeps the
+    last element fed (zero before the first).  [stall] makes the driver
     pause on cycles where it returns true — stimulus-side back-pressure
-    for experiment C7.  The run stops when as many outputs as inputs
-    have been collected, or after [max_cycles] (default
-    [16 * n + 64]). *)
+    for experiment C7.
+
+    Outputs are read from [out_port].  With [out_valid], one is collected
+    on every cycle where that port reads nonzero, and [latency] is
+    ignored.  Without it, one is collected exactly [latency] cycles
+    (default 1) after each element was fed, so stalls shift the outputs
+    with their inputs; a design whose latency differs yields the wrong
+    cycles' values.  The run stops when as many outputs as inputs have
+    been collected, or after [max_cycles] (default [16 * n + 64]). *)
 
 exception Stage_error of string
 (** Unknown port, or the wrapped RTL failed to produce enough outputs

@@ -25,7 +25,22 @@ let run ~rtl ~iface ~requests ?(gap = fun _ -> false) ?max_cycles
   let n = List.length requests in
   let budget = match max_cycles with Some m -> m | None -> (64 * n) + 256 in
   let sim = Sim.create rtl in
-  let pending = ref requests in
+  (* A cycle's input vector: [override] first, then every idle value
+     whose port it does not drive.  The idle vector and each request's
+     issue vector are built once, here, not every cycle. *)
+  let with_idle override =
+    override
+    @ List.filter (fun (p, _) -> not (List.mem_assoc p override)) iface.idle
+  in
+  let idle_inputs = with_idle [ (iface.issue_valid, Bitvec.of_bool false) ] in
+  let issue_inputs r =
+    let tag_drive =
+      match iface.req_tag with Some port -> [ (port, r.tag) ] | None -> []
+    in
+    with_idle
+      ((iface.issue_valid, Bitvec.of_bool true) :: (tag_drive @ r.payload))
+  in
+  let pending = ref (List.map issue_inputs requests) in
   let completions = ref [] in
   let ncompleted = ref 0 in
   let cycle = ref 0 in
@@ -37,21 +52,10 @@ let run ~rtl ~iface ~requests ?(gap = fun _ -> false) ?max_cycles
      convention, latches only when ready && valid — the standard
      handshake). *)
   while !ncompleted < n && !cycle < budget do
-    let issuing, payload =
+    let issuing, inputs =
       match !pending with
-      | r :: _ when not (gap !cycle) ->
-        let tag_drive =
-          match iface.req_tag with
-          | Some port -> [ (port, r.tag) ]
-          | None -> []
-        in
-        (true, tag_drive @ r.payload)
-      | _ -> (false, [])
-    in
-    let override = (iface.issue_valid, Bitvec.of_bool issuing) :: payload in
-    let inputs =
-      override
-      @ List.filter (fun (p, _) -> not (List.mem_assoc p override)) iface.idle
+      | issue :: _ when not (gap !cycle) -> (true, issue)
+      | _ -> (false, idle_inputs)
     in
     let outs = Sim.cycle sim inputs in
     let accepted =

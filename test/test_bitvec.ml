@@ -312,13 +312,42 @@ let prop_add_assoc_when_wide_enough =
         (Bitvec.add (Bitvec.add a b) c)
         (Bitvec.add (Bitvec.add b c) a))
 
+(* [create] against its definition: bit [i] of [create ~width v] is bit
+   [min i 62] of [v], the sign filling every bit above the int's 63.  The
+   widths straddle the one-limb path (<= 32 bits) and each limb
+   boundary; the values include both extremes. *)
+let prop_create_bits =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (frequency
+           [ (3, int_range 1 100); (2, oneofl [ 31; 32; 33; 62; 63; 64 ]) ])
+        (frequency
+           [ (3, int); (2, int_range (-300) 300);
+             (1, oneofl [ min_int; max_int; -1; 0 ]) ]))
+  in
+  QCheck.Test.make ~name:"create holds the bits of its int" ~count:1000
+    (QCheck.make gen ~print:QCheck.Print.(pair int int))
+    (fun (w, x) ->
+      let a = Bitvec.create ~width:w x in
+      let bits = Array.init w (fun i -> (x asr min i 62) land 1 = 1) in
+      let fits_unsigned = x >= 0 && (w >= 62 || x < 1 lsl w) in
+      let fits_signed =
+        w >= 63 || (x >= -(1 lsl (w - 1)) && x < 1 lsl (w - 1))
+      in
+      Bitvec.width a = w
+      && Bitvec.to_bits a = bits
+      && Bitvec.equal a (Bitvec.of_bits bits)
+      && ((not fits_unsigned) || Bitvec.to_int a = x)
+      && ((not fits_signed) || Bitvec.to_signed_int a = x))
+
 let qcheck_props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_add_commutes; prop_add_sub_inverse; prop_neg_involution;
       prop_lognot_involution; prop_mul_matches_int; prop_divrem_identity;
       prop_string_roundtrip; prop_concat_select; prop_shift_mul;
       prop_resize_preserves_unsigned; prop_sresize_preserves_signed;
-      prop_add_assoc_when_wide_enough ]
+      prop_add_assoc_when_wide_enough; prop_create_bits ]
 
 let suite =
   [ Alcotest.test_case "create basic" `Quick test_create_basic;

@@ -126,20 +126,35 @@ let test_scoreboard_flags_injected_corruption () =
 
 (* --- stream stages --------------------------------------------------------- *)
 
-(* One-cycle-latency incrementer with a valid chain. *)
-let rtl_inc_stream () =
+(* Stream designs on [din]/[dout]: registered (one-cycle-latency
+   incrementer) or combinational, each with a valid chain [vin] -> [vout]
+   or with no valid input and a constant-1 [vout]. *)
+let stream_design ~registered ~valid_in =
   let open Expr in
+  let inputs =
+    { Netlist.port_name = "din"; port_width = 8 }
+    :: (if valid_in then [ { Netlist.port_name = "vin"; port_width = 1 } ]
+        else [])
+  in
+  let vin = if valid_in then sig_ "vin" else const ~width:1 1 in
+  let regs, dout, vout =
+    if registered then
+      ( [ Netlist.reg ~name:"d1" ~width:8 (sig_ "din" +: const ~width:8 1);
+          Netlist.reg ~name:"v1" ~width:1 vin ],
+        sig_ "d1",
+        sig_ "v1" )
+    else ([], sig_ "din" ^: const ~width:8 0x5a, vin)
+  in
   Netlist.elaborate
     {
-      (Netlist.empty "inc_stream") with
-      Netlist.inputs =
-        [ { Netlist.port_name = "din"; port_width = 8 };
-          { Netlist.port_name = "vin"; port_width = 1 } ];
-      regs =
-        [ Netlist.reg ~name:"d1" ~width:8 (sig_ "din" +: const ~width:8 1);
-          Netlist.reg ~name:"v1" ~width:1 (sig_ "vin") ];
-      outputs = [ ("dout", sig_ "d1"); ("vout", sig_ "v1") ];
+      (Netlist.empty "stream") with
+      Netlist.inputs;
+      regs;
+      outputs = [ ("dout", dout); ("vout", vout) ];
     }
+
+(* One-cycle-latency incrementer with a valid chain. *)
+let rtl_inc_stream () = stream_design ~registered:true ~valid_in:true
 
 let test_rtl_stage_with_valid () =
   let stage =
@@ -241,6 +256,128 @@ let test_pipeline_plug_and_play () =
   check_bool "outputs equal" true
     (Array.for_all2 Bitvec.equal pure mixed);
   check_int "three stages" 3 (List.length stats)
+
+(* The driver rule of record, kept as a reference: every feed cycle goes
+   into a set, and without [out_valid] each cycle probes that set at
+   [cycle - latency]. *)
+let reference_stream ~rtl ~in_valid ~out_valid ~latency ~stall ~max_cycles
+    input =
+  let n = Array.length input in
+  if n = 0 then Ok ([||], 0)
+  else begin
+    let sim = Sim.create rtl in
+    let budget = match max_cycles with Some m -> m | None -> (16 * n) + 64 in
+    let fed_on = Hashtbl.create 64 in
+    let collected = ref [] and ncollected = ref 0 in
+    let fed = ref 0 and cycle = ref 0 in
+    while !ncollected < n && !cycle < budget do
+      let feeding = !fed < n && not (stall !cycle) in
+      let data =
+        if feeding then input.(!fed)
+        else if !fed > 0 then input.(!fed - 1)
+        else Bitvec.zero 8
+      in
+      let valid_drive =
+        match in_valid with
+        | Some p -> [ (p, Bitvec.of_bool feeding) ]
+        | None -> []
+      in
+      if feeding then begin
+        Hashtbl.replace fed_on !cycle ();
+        incr fed
+      end;
+      let outs = Sim.cycle sim (("din", data) :: valid_drive) in
+      let valid =
+        match out_valid with
+        | Some p -> Bitvec.reduce_or (List.assoc p outs)
+        | None -> Hashtbl.mem fed_on (!cycle - latency)
+      in
+      if valid then begin
+        collected := List.assoc "dout" outs :: !collected;
+        incr ncollected
+      end;
+      incr cycle
+    done;
+    if !ncollected < n then
+      Error
+        (Printf.sprintf "stage s: produced %d of %d outputs within %d cycles"
+           !ncollected n budget)
+    else Ok (Array.of_list (List.rev !collected), !cycle)
+  end
+
+type stream_case = {
+  registered : bool;
+  valid_in : bool;
+  valid_out : bool;
+  latency : int;
+  stalls : bool array;  (** [stalls.(c)]: stall on cycle [c] *)
+  max_cycles : int option;
+  data : int array;
+}
+
+let stream_designs =
+  List.concat_map
+    (fun registered ->
+      List.map
+        (fun valid_in ->
+          ((registered, valid_in), stream_design ~registered ~valid_in))
+        [ true; false ])
+    [ true; false ]
+
+let gen_stream_case =
+  QCheck.Gen.(
+    let* registered = bool and* valid_in = bool and* valid_out = bool in
+    let* latency = int_range 0 3 and* n = int_range 0 40 in
+    let* stall_pct = oneofl [ 0; 20; 50; 90 ] in
+    let* stalls =
+      array_repeat 1024 (map (fun r -> r < stall_pct) (int_bound 99))
+    in
+    let* max_cycles =
+      frequency [ (3, return None); (1, map Option.some (int_range 0 (n + 4))) ]
+    in
+    let+ data = array_repeat n (int_bound 255) in
+    { registered; valid_in; valid_out; latency; stalls; max_cycles; data })
+
+let print_stream_case c =
+  Printf.sprintf
+    "registered %b, in_valid %b, out_valid %b, latency %d, max_cycles %s, \
+     n %d, stalls in the first 64 cycles %d"
+    c.registered c.valid_in c.valid_out c.latency
+    (match c.max_cycles with Some m -> string_of_int m | None -> "-")
+    (Array.length c.data)
+    (Array.fold_left (fun k s -> if s then k + 1 else k) 0
+       (Array.sub c.stalls 0 64))
+
+let prop_stream_matches_reference =
+  QCheck.Test.make ~name:"rtl stage vs feed-set reference" ~count:400
+    (QCheck.make gen_stream_case ~print:print_stream_case)
+    (fun c ->
+      let rtl = List.assoc (c.registered, c.valid_in) stream_designs in
+      let in_valid = if c.valid_in then Some "vin" else None in
+      let out_valid = if c.valid_out then Some "vout" else None in
+      let stall cycle = cycle < Array.length c.stalls && c.stalls.(cycle) in
+      let input = Array.map (bv 8) c.data in
+      let stage =
+        Stream.rtl_stage ~name:"s" ~rtl ~in_port:"din" ~out_port:"dout"
+          ?in_valid ?out_valid ~latency:c.latency ~stall
+          ?max_cycles:c.max_cycles ()
+      in
+      let got =
+        match Stream.run_stage stage input with
+        | out, stats -> Ok (out, stats.Stream.cycles)
+        | exception Stream.Stage_error m -> Error m
+      in
+      let expected =
+        reference_stream ~rtl ~in_valid ~out_valid ~latency:c.latency ~stall
+          ~max_cycles:c.max_cycles input
+      in
+      match (got, expected) with
+      | Ok (out, cycles), Ok (out', cycles') ->
+        cycles = cycles'
+        && Array.length out = Array.length out'
+        && Array.for_all2 Bitvec.equal out out'
+      | Error m, Error m' -> m = m'
+      | _ -> false)
 
 (* --- transaction engine ------------------------------------------------------ *)
 
@@ -392,6 +529,7 @@ let suite =
       test_rtl_stage_unknown_port;
     Alcotest.test_case "pipeline plug-and-play" `Quick
       test_pipeline_plug_and_play;
+    QCheck_alcotest.to_alcotest prop_stream_matches_reference;
     Alcotest.test_case "txn engine basic" `Quick test_txn_engine_basic;
     Alcotest.test_case "txn engine with gaps" `Quick test_txn_engine_with_gaps;
     Alcotest.test_case "txn engine + scoreboard" `Quick
