@@ -37,6 +37,28 @@ let write_bench id fields =
        (("experiment", String id) :: fields));
   Printf.printf "wrote %s\n%!" path
 
+(* Where a committed artifact came from: the checkout it was built from
+   ([git describe --always --dirty], so a tree with uncommitted changes
+   names its base commit plus "-dirty"), the compiler, the cores this
+   process may use, and the repetitions behind each leg. *)
+let provenance reps =
+  let commit =
+    try
+      let ic =
+        Unix.open_process_in "git describe --always --dirty 2>/dev/null"
+      in
+      let line = try input_line ic with End_of_file -> "" in
+      match Unix.close_process_in ic with
+      | Unix.WEXITED 0 when line <> "" -> line
+      | _ -> "unknown"
+    with Unix.Unix_error _ | Sys_error _ -> "unknown"
+  in
+  let open Dfv_obs.Json in
+  Obj
+    [ ("commit", String commit); ("ocaml", String Sys.ocaml_version);
+      ("cores", Int (Dfv_par.Pool.cores ()));
+      ("reps", Obj (List.map (fun (leg, n) -> (leg, Int n)) reps)) ]
+
 let header id title claim =
   Printf.printf "\n==============================================================\n";
   Printf.printf "%s: %s\n" id title;
@@ -760,6 +782,60 @@ let par_speedup () =
   let dom_parity = List.for_all (fun (_, _, _, p) -> p) dom_pairs in
   Printf.printf "  domains  best paired speedup %.2fx over %d pair(s)\n%!"
     best_ratio dom_reps;
+  (* Short jobs: faultsim-journaled's five subjects at its sizes, seeds
+     1-4, where a mutant takes a few ms and a pool that keeps a domain
+     parked beside its workers loses to sequential on a 2-core host.
+     Each pair times both legs back to back, alternating which goes
+     first, and the median ratio is gated. *)
+  let short_reps = 7 in
+  let short_run ~jobs ?pool ?exec () =
+    List.concat_map
+      (fun seed ->
+        Suite.run
+          ~budget:
+            { Dfv_sat.Solver.max_conflicts = Some 20_000; max_seconds = None }
+          ~seed ~sim_vectors:400 ~jobs ?pool ?exec ~max_rtl_faults:16
+          ~max_slm_faults:8
+          ~designs:
+            [ "alu"; "gcd"; "chain.brightness"; "chain.threshold"; "memsys" ]
+          ())
+      [ 1; 2; 3; 4 ]
+  in
+  let short_seq () = short_run ~jobs:1 () in
+  let short_dom () = short_run ~jobs ~pool:true ~exec:`Domains () in
+  (* The reference transcript; its run also warms both legs' caches. *)
+  let short_canon = canon (short_seq ()) in
+  let short_pairs = ref [] in
+  for rep = 1 to short_reps do
+    let seq_first = rep mod 2 = 1 in
+    let (s_s, _), (d_s, d_reports) =
+      if seq_first then
+        let s = time_run short_seq in
+        (s, time_run short_dom)
+      else
+        let d = time_run short_dom in
+        (time_run short_seq, d)
+    in
+    let parity = canon d_reports = short_canon in
+    let ratio = s_s /. d_s in
+    Printf.printf
+      "  short    %6.3fs domains vs %6.3fs seq (%s first)   pair %d/%d: \
+       %.2fx, parity %s\n%!"
+      d_s s_s
+      (if seq_first then "seq" else "domains")
+      rep short_reps ratio
+      (if parity then "byte-identical" else "MISMATCH");
+    short_pairs := (d_s, s_s, ratio, parity, seq_first) :: !short_pairs
+  done;
+  let short_pairs = List.rev !short_pairs in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let short_ratio = median (List.map (fun (_, _, r, _, _) -> r) short_pairs) in
+  Printf.printf "  short    median paired speedup %.2fx over %d pairs\n%!"
+    short_ratio short_reps;
   let open Dfv_obs.Json in
   let domains_leg =
     ( "domains", best_d, best_ratio, dom_parity,
@@ -770,9 +846,26 @@ let par_speedup () =
               ("speedup", Float r); ("verdict_parity", Bool p) ])
         dom_pairs )
   in
-  let legs = [ fork_leg; domains_leg ] in
+  let short_leg =
+    ( "domains-short",
+      median (List.map (fun (d, _, _, _, _) -> d) short_pairs),
+      short_ratio,
+      List.for_all (fun (_, _, _, p, _) -> p) short_pairs,
+      List.map
+        (fun (d, s, r, p, seq_first) ->
+          Obj
+            [ ("seconds", Float d); ("adjacent_seq_seconds", Float s);
+              ("speedup", Float r); ("verdict_parity", Bool p);
+              ("first", String (if seq_first then "seq" else "domains")) ])
+        short_pairs )
+  in
+  let legs = [ fork_leg; domains_leg; short_leg ] in
   write_bench "par_speedup"
-    [ ("jobs", Int jobs); ("cores", Int cores); ("seq_seconds", Float seq_s);
+    [ ( "provenance",
+        provenance
+          [ ("seq", 1); ("fork", 1); ("domains", dom_reps);
+            ("domains-short", short_reps) ] );
+      ("jobs", Int jobs); ("cores", Int cores); ("seq_seconds", Float seq_s);
       ( "modes",
         List
           (List.map
@@ -832,6 +925,15 @@ let par_speedup () =
       "REGRESSION: best paired domains speedup %.2fx < 1.0x against \
        sequential on a 1-core host\n"
       dom_speedup;
+    exit 1
+  end;
+  (* Short jobs on any multicore host: a pool of few-ms mutants must not
+     lose to running them one after another. *)
+  if cores >= 2 && short_ratio < 1.0 then begin
+    Printf.printf
+      "REGRESSION: median paired domains speedup %.2fx < 1.0x against \
+       sequential on short jobs (%d cores, %d jobs)\n"
+      short_ratio cores jobs;
     exit 1
   end
 

@@ -443,7 +443,12 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
     let on_result k outcome =
       (* Runs in the parent as each job's outcome becomes final: the
          journal grows with the campaign, so a kill at any instant
-         loses at most the jobs still in flight. *)
+         loses at most the jobs still in flight.  On the domains
+         executor the calling domain is also a worker, and it collects
+         the others' results between its own jobs, so a kill can also
+         lose what they finished during its current job: at most that
+         one job's duration of their work.  All of it re-runs on
+         resume. *)
       match outcome with
       | Ok r ->
         let i, m = missing_arr.(k) in

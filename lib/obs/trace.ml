@@ -58,9 +58,9 @@ let now_us s =
   s.last <- t;
   t
 
-let make_sink ~capacity ~pid =
+let sink_of_ring ring ~pid =
   {
-    ring = Array.make capacity dummy_ev;
+    ring;
     pushed = 0;
     depth = 0;
     max_depth = 0;
@@ -73,7 +73,8 @@ let make_sink ~capacity ~pid =
 
 let enable ?(capacity = 65536) () =
   if capacity < 1 then invalid_arg "Trace.enable: capacity must be >= 1";
-  current := Some (make_sink ~capacity ~pid:(Unix.getpid ()))
+  current :=
+    Some (sink_of_ring (Array.make capacity dummy_ev) ~pid:(Unix.getpid ()))
 
 let disable () = current := None
 let enabled () = active () <> None
@@ -292,6 +293,13 @@ let export () =
 
 (* --- domain-local isolation -------------------------------------------- *)
 
+(* The ring of the domain's last released shadow.  A pooled job reuses
+   it when the main ring's capacity still matches, instead of allocating
+   a ring as large as the main one per job; the new sink starts at
+   [pushed = 0], so the stale slots are never read. *)
+let spare_key : ev array option Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> None)
+
 (* A shadow is installed only when the process sink is live: with
    tracing off there is nothing to merge into, and the worker's spans
    stay the usual one-branch no-ops.  The shadow's [pid] field carries
@@ -304,11 +312,14 @@ let isolate_domain () =
   match !current with
   | None -> ()
   | Some main ->
+    let capacity = Array.length main.ring in
+    let ring =
+      match Domain.DLS.get spare_key with
+      | Some r when Array.length r = capacity -> r
+      | _ -> Array.make capacity dummy_ev
+    in
     Domain.DLS.set shadow_key
-      (Some
-         (make_sink
-            ~capacity:(Array.length main.ring)
-            ~pid:(Domain.self () :> int)));
+      (Some (sink_of_ring ring ~pid:(Domain.self () :> int)));
     Atomic.incr shadows_active
 
 let domain_export () =
@@ -318,7 +329,8 @@ let domain_export () =
 
 let release_domain () =
   match Domain.DLS.get shadow_key with
-  | Some _ ->
+  | Some s ->
+    Domain.DLS.set spare_key (Some s.ring);
     Domain.DLS.set shadow_key None;
     Atomic.decr shadows_active
   | None -> ()

@@ -97,8 +97,11 @@ val absorb : ?label:string -> ?job:int -> Json.t -> (unit, string) result
 
 val isolate_domain : unit -> unit
 (** Install a fresh shadow sink on the calling domain (no-op when
-    tracing is disabled).  Raises [Invalid_argument] if the domain is
-    already isolated. *)
+    tracing is disabled).  The sink starts empty but reuses the ring of
+    the domain's last released shadow while the process ring's capacity
+    is unchanged, so a domain running many jobs allocates one ring, not
+    one per job.  Raises [Invalid_argument] if the domain is already
+    isolated. *)
 
 val domain_export : unit -> Json.t
 (** The calling domain's shadow sink as a [dfv-trace-export] payload;

@@ -71,7 +71,7 @@ type 'r cq = {
   q_mu : Mutex.t;
   q_cv : Condition.t;
   mutable q_items : 'r completion list; (* rev completion order *)
-  mutable q_exited : int; (* worker domains that have stood down *)
+  mutable q_exited : int; (* spawned worker domains that have stood down *)
 }
 
 let push_completion q c =
@@ -85,6 +85,21 @@ let announce_exit q =
   q.q_exited <- q.q_exited + 1;
   Condition.broadcast q.q_cv;
   Mutex.unlock q.q_mu
+
+(* Take every queued completion, oldest first.  With [~wait] the caller
+   first sleeps until there is one or all [spawned] domains have stood
+   down; the flag says whether they all had. *)
+let take q ~spawned ~wait =
+  Mutex.lock q.q_mu;
+  if wait then
+    while q.q_items = [] && q.q_exited < spawned do
+      Condition.wait q.q_cv q.q_mu
+    done;
+  let batch = List.rev q.q_items in
+  q.q_items <- [];
+  let all_exited = q.q_exited = spawned in
+  Mutex.unlock q.q_mu;
+  (batch, all_exited)
 
 (* --- worker side -------------------------------------------------------- *)
 
@@ -123,14 +138,17 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
   let n = Array.length inputs in
   let outcomes : r Pool.outcome option array = Array.make n None in
   if n > 0 then begin
-    (* Domains beyond the core count only contend with each other (and
-       with the coordinating domain), so concurrency is clamped to the
-       host — unlike the fork pool, where [jobs] is taken literally.
-       Verdicts cannot tell the difference; only wall-clock can. *)
+    (* Domains beyond the core count only contend with each other, so
+       concurrency is clamped to the host — unlike the fork pool, where
+       [jobs] is taken literally.  The calling domain is worker 0, so
+       [w] workers take [w - 1] spawned domains: no domain sits parked
+       while others work, and every stop-the-world collection meets
+       only domains that are running.  Verdicts cannot tell the
+       difference; only wall-clock can. *)
     let w = max 1 (min (min jobs n) (Pool.cores ())) in
-    (* The coordinating domain owns the global sinks: it merges each
-       job's telemetry and fires [on_result] in completion order, so
-       callers see exactly the fork pool's delivery discipline. *)
+    (* The calling domain owns the global sinks: it merges each job's
+       telemetry and fires [on_result] in the order it collects
+       results, so callers see the fork parent's delivery discipline. *)
     let record c =
       outcomes.(c.c_job) <- Some c.c_outcome;
       Pool.merge_telemetry
@@ -140,97 +158,78 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
       | Some notify -> notify c.c_job c.c_outcome
       | None -> ()
     in
-    if w = 1 then begin
-      (* A single-worker pool runs inline on the calling domain.
-         Spawning one domain and blocking here would buy no parallelism
-         while switching the runtime into multi-domain mode (every minor
-         collection becomes a stop-the-world rendezvous — a measured
-         3-4% tax on simulation-heavy campaigns) and slamming the fork
-         door for the rest of the process. *)
+    (* Round-robin dealing: worker k starts with jobs k, k+w, k+2w … so
+       early (often journal-missing) indices spread across domains. *)
+    let deques =
+      Array.init w (fun k ->
+          let slots = Array.init ((n - k + w - 1) / w) (fun i -> k + (i * w)) in
+          { mu = Mutex.create (); slots; lo = 0; hi = Array.length slots })
+    in
+    let q =
+      { q_mu = Mutex.create (); q_cv = Condition.create (); q_items = [];
+        q_exited = 0 }
+    in
+    (* One steal count per worker, written only by its owner and summed
+       after the join: a shared counter bumped from several domains
+       would lose updates. *)
+    let steals = Array.make w 0 in
+    let next_job k =
+      match pop_own deques.(k) with
+      | Some _ as j -> j
+      | None ->
+        let rec scan i =
+          if i >= w then None
+          else
+            match steal deques.((k + i) mod w) with
+            | Some _ as j ->
+              steals.(k) <- steals.(k) + 1;
+              j
+            | None -> scan (i + 1)
+        in
+        scan 1
+    in
+    (* The one worker loop: spawned domains [deliver] to the queue, the
+       caller records its own result at once. *)
+    let worker k ~deliver =
       let did = (Domain.self () :> int) in
-      (try
-         for j = 0 to n - 1 do
-           if Pool.stop_requested () then raise Exit;
-           let outcome, telem = run_job f inputs.(j) in
-           record
-             { c_job = j; c_domain = did; c_outcome = outcome;
-               c_telemetry = telem }
-         done
-       with Exit -> ())
-    end
-    else begin
-      let counts = Array.make w 0 in
-      for j = 0 to n - 1 do
-        counts.(j mod w) <- counts.(j mod w) + 1
-      done;
-      let deques =
-        Array.init w (fun k ->
-            { mu = Mutex.create (); slots = Array.make counts.(k) 0; lo = 0;
-              hi = counts.(k) })
+      let rec loop () =
+        if not (Pool.stop_requested ()) then
+          match next_job k with
+          | None -> ()
+          | Some j ->
+            let outcome, telem = run_job f inputs.(j) in
+            deliver
+              { c_job = j; c_domain = did; c_outcome = outcome;
+                c_telemetry = telem };
+            loop ()
       in
-      let fill = Array.make w 0 in
-      (* Round-robin dealing: worker k starts with jobs k, k+w, k+2w … so
-         early (often journal-missing) indices spread across domains. *)
-      for j = 0 to n - 1 do
-        let k = j mod w in
-        deques.(k).slots.(fill.(k)) <- j;
-        fill.(k) <- fill.(k) + 1
-      done;
-      let q =
-        { q_mu = Mutex.create (); q_cv = Condition.create (); q_items = [];
-          q_exited = 0 }
-      in
-      let next_job k =
-        match pop_own deques.(k) with
-        | Some _ as j -> j
-        | None ->
-          let rec scan i =
-            if i >= w then None
-            else
-              match steal deques.((k + i) mod w) with
-              | Some _ as j ->
-                Metrics.incr m_steals;
-                j
-              | None -> scan (i + 1)
-          in
-          scan 1
-      in
-      let worker k () =
-        Fun.protect
-          ~finally:(fun () -> announce_exit q)
-          (fun () ->
-            let did = (Domain.self () :> int) in
-            let rec loop () =
-              if Pool.stop_requested () then ()
-              else
-                match next_job k with
-                | None -> ()
-                | Some j ->
-                  let outcome, telem = run_job f inputs.(j) in
-                  push_completion q
-                    { c_job = j; c_domain = did; c_outcome = outcome;
-                      c_telemetry = telem };
-                  loop ()
-            in
-            loop ())
-      in
-      Atomic.set domains_used true;
-      let domains = Array.init w (fun k -> Domain.spawn (worker k)) in
-      let rec drain () =
-        Mutex.lock q.q_mu;
-        while q.q_items = [] && q.q_exited < w do
-          Condition.wait q.q_cv q.q_mu
-        done;
-        let batch = List.rev q.q_items in
-        q.q_items <- [];
-        let all_exited = q.q_exited = w in
-        Mutex.unlock q.q_mu;
-        List.iter record batch;
-        if not (all_exited && batch = []) then drain ()
-      in
-      drain ();
-      Array.iter Domain.join domains
-    end;
+      loop ()
+    in
+    let spawned = w - 1 in
+    if spawned > 0 then Atomic.set domains_used true;
+    let domains =
+      Array.init spawned (fun i ->
+          Domain.spawn (fun () ->
+              Fun.protect
+                ~finally:(fun () -> announce_exit q)
+                (fun () -> worker (i + 1) ~deliver:(push_completion q))))
+    in
+    (* Between its own jobs the caller collects what the other workers
+       finished, without waiting; it waits only for the jobs still
+       running once its own loop runs dry. *)
+    let collect ~wait =
+      let batch, all_exited = take q ~spawned ~wait in
+      List.iter record batch;
+      all_exited && batch = []
+    in
+    worker 0 ~deliver:(fun c ->
+        record c;
+        ignore (collect ~wait:false));
+    while not (collect ~wait:true) do
+      ()
+    done;
+    Array.iter Domain.join domains;
+    Metrics.add m_steals (Array.fold_left ( + ) 0 steals);
     if Pool.stop_requested () then
       Array.iter
         (fun o -> if o = None then Metrics.incr m_interrupted)

@@ -14,11 +14,24 @@
 
     Job indices are dealt round-robin onto per-worker deques at start;
     each worker pops its own deque from one end and, when empty, steals
-    from the other end of a sibling's (visible as
-    [pool.domains.steals]).  At most [min jobs cores] worker domains
-    run — domains beyond the core count only contend.  The coordinating
-    domain merges telemetry and fires [?on_result] in completion order,
-    exactly like the fork parent.
+    from the other end of a sibling's.  Each worker counts its own
+    steals, and their sum is added to [pool.domains.steals] after the
+    join.  A map runs [w = min jobs cores] workers (capped by the number
+    of inputs), because domains beyond the core count only contend.
+
+    The calling domain is worker 0: it takes the even-spaced deal
+    [0, w, 2w, …] like any other worker, spawns only [w - 1] domains,
+    and never sits parked while others work (a parked domain still
+    takes part in every stop-the-world collection, so a caller waiting
+    beside [w] spawned domains on [w] cores slows them all).  The
+    caller merges telemetry and fires [?on_result] in the order it
+    collects results: its own at once, the other workers' between its
+    own jobs, and whatever is still running once its deque and the
+    steals run dry.  [on_result] therefore always runs on the calling
+    domain, as in the fork parent.  A one-worker map is the zero-spawn
+    case of the same loop: its jobs run on the calling domain, no
+    domain is started, the runtime stays in single-domain mode and the
+    fork door below stays open.
 
     {2 Determinism}
 
@@ -29,9 +42,10 @@
 
     {2 Telemetry and isolation}
 
-    Each job runs with all three {!Dfv_obs} sinks domain-isolated
-    ({!Dfv_obs.Metrics.isolate_domain} and friends), so its metrics,
-    spans and coverage are a clean delta, shipped to the coordinator as
+    Each job, the caller's own included, runs with all three
+    {!Dfv_obs} sinks domain-isolated ({!Dfv_obs.Metrics.isolate_domain}
+    and friends), so its metrics, spans and coverage are a clean delta,
+    handed to the calling domain as
     the same [{"metrics";"trace";"coverage"}] payload the fork protocol
     uses and merged through {!Pool.merge_telemetry} — trace lanes are
     tagged ["dfv domain N"] instead of ["dfv worker <pid>"].
@@ -60,13 +74,10 @@
     unprobed — but explicitly mixing [`Domains] then [`Fork] in
     one process is a caller error that the runtime rejects.  Order
     fork-pool work before domains work (the bench and test suites do),
-    or pick one executor per process.
-
-    One mitigation falls out of the single-worker fast path: a pool
-    that resolves to one worker runs its jobs inline on the calling
-    domain without spawning, so it neither pays the multi-domain
-    runtime (every minor GC becomes a stop-the-world rendezvous) nor
-    closes the door — 1-core hosts can alternate executors freely. *)
+    or pick one executor per process.  Only a real spawn closes the
+    door: a map that resolves to one worker (on a 1-core host, or with
+    one input) spawns nothing, so 1-core hosts can alternate executors
+    freely. *)
 
 val fork_available : unit -> bool
 (** [true] until the first worker domain is spawned in this process;
@@ -83,7 +94,8 @@ val map :
 (** [map f inputs] runs [f] on every input across worker domains and
     returns the outcomes in input order; parameters have the same
     meaning as in {!Pool.map} ([jobs] is additionally clamped to
-    {!Pool.cores}).  A job that raises is recorded as [Error] via
+    {!Pool.cores}, and the calling domain is one of the workers).  A
+    job that raises is recorded as [Error] via
     {!Dfv_core.Dfv_error.guard}.  If {!Pool.request_stop} fires
     mid-run, jobs not yet started come back [Error (Interrupted _)]. *)
 

@@ -521,6 +521,39 @@ let test_trace_dropped_counter () =
   Trace.disable ();
   check_int "overwrites counted" (before + 6) (Metrics.counter_value c)
 
+(* Two pooled jobs in a row on one domain share its shadow ring: the
+   second job's export must hold its own events only, none of the
+   first job's stale slots. *)
+let test_shadow_ring_reuse () =
+  Trace.enable ~capacity:8 ();
+  let job names =
+    Trace.isolate_domain ();
+    Fun.protect ~finally:Trace.release_domain (fun () ->
+        List.iter (fun n -> Trace.with_span n (fun () -> ())) names;
+        Trace.domain_export ())
+  in
+  let names_of export =
+    match Json.field "events" export with
+    | Some (Json.List evs) ->
+      List.filter_map
+        (fun e ->
+          match Json.field "name" e with
+          | Some (Json.String n) -> Some n
+          | _ -> None)
+        evs
+    | _ -> Alcotest.fail "export has no events"
+  in
+  let first = job [ "a1"; "a2"; "a3" ] in
+  let second = job [ "b1" ] in
+  Trace.disable ();
+  Alcotest.(check (list string))
+    "first job's events" [ "a1"; "a2"; "a3" ] (names_of first);
+  Alcotest.(check (list string))
+    "second job's export holds only its own events" [ "b1" ]
+    (names_of second);
+  check_bool "nothing dropped" true
+    (Json.field "dropped" second = Some (Json.Int 0))
+
 let suite =
   [ Alcotest.test_case "json escaping" `Quick test_json_escaping;
     Alcotest.test_case "json envelope" `Quick test_json_envelope;
@@ -554,4 +587,6 @@ let suite =
     Alcotest.test_case "coverage merge" `Quick test_coverage_merge;
     Alcotest.test_case "trace export/absorb" `Quick test_trace_export_absorb;
     Alcotest.test_case "ring overwrites hit trace.dropped" `Quick
-      test_trace_dropped_counter ]
+      test_trace_dropped_counter;
+    Alcotest.test_case "reused shadow ring exports one job's events" `Quick
+      test_shadow_ring_reuse ]

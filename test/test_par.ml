@@ -819,29 +819,77 @@ let test_map_auto_dispatch () =
   Alcotest.(check int) "explicit domains uncounted" d3 d4;
   Alcotest.(check int) "no stray fork dispatch" f3 f4;
   (* A multicore host has now spawned worker domains, and [`Auto] must
-     take domains without probing: job 0 runs on a worker domain, not
-     inline on this one.  A 1-core host runs every pool inline and
-     never closes the door; its static rule routes to domains. *)
-  let caller = (Domain.self () :> int) in
-  let job0_domain = Atomic.make caller in
-  let out =
-    Dpool.map_auto ~exec:`Auto ~encode:encode_int ~decode:decode_int
-      (fun x ->
-        if x = 1 then Atomic.set job0_domain (Domain.self () :> int);
-        x * 2)
-      inputs
-    |> List.map ok
+     take domains without probing.  A probe runs job 0 inline, outside
+     the pool, so it ships no telemetry record; unprobed, all four jobs
+     run in the pool and each ships one.  A 1-core host never spawns a
+     domain and never closes the door; its static rule routes to
+     domains. *)
+  let shipped () =
+    Metrics.counter_value (Metrics.counter "pool.telemetry.shipped")
   in
-  Alcotest.(check (list int)) "auto verdicts after the domains legs" expected out;
+  let s5 = shipped () in
+  Alcotest.(check (list int))
+    "auto verdicts after the domains legs" expected (run `Auto inputs);
   let f5, d5 = exec_counters () in
   Alcotest.(check int) "routed to domains" (d4 + 1) d5;
   Alcotest.(check int) "never to fork" f4 f5;
   if Dpool.fork_available () then
     Alcotest.(check int) "door open only on a 1-core host" 1 (Pool.cores ())
   else
-    Alcotest.(check bool)
-      "door closed: job 0 not probed inline" true
-      (Atomic.get job0_domain <> caller)
+    Alcotest.(check int)
+      "door closed: job 0 not probed inline" (s5 + 4) (shipped ())
+
+(* The calling domain is worker 0: a map holds at most [min jobs cores]
+   domains, and all but one of them are spawned.  The jobs sleep so
+   that every worker runs some of them. *)
+let test_dpool_caller_is_worker () =
+  let caller = (Domain.self () :> int) in
+  let w = min 4 (Pool.cores ()) in
+  let ids =
+    Dpool.map ~jobs:4
+      (fun _ ->
+        Unix.sleepf 0.001;
+        (Domain.self () :> int))
+      (List.init 64 Fun.id)
+    |> List.map ok |> List.sort_uniq compare
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains ran jobs, at most %d" (List.length ids) w)
+    true
+    (List.length ids <= w);
+  let spawned = List.filter (fun d -> d <> caller) ids in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d spawned domains ran jobs, at most %d"
+       (List.length spawned) (w - 1))
+    true
+    (List.length spawned <= w - 1)
+
+(* Each worker counts its own steals and the caller adds their sum after
+   the join, so [pool.domains.steals] is exact: it equals the number of
+   jobs that ran on another worker than the one they were dealt to.  Job
+   j is dealt to worker [j mod w], and worker 0 is the caller.  The
+   caller's even jobs are the slow ones, so the other worker steals. *)
+let test_dpool_steal_count () =
+  let caller = (Domain.self () :> int) in
+  let w = min 2 (Pool.cores ()) in
+  let steals () =
+    Metrics.counter_value (Metrics.counter "pool.domains.steals")
+  in
+  let before = steals () in
+  let ran_on =
+    Dpool.map ~jobs:2
+      (fun j ->
+        if j mod 2 = 0 then Unix.sleepf 0.002;
+        (Domain.self () :> int))
+      (List.init 40 Fun.id)
+    |> List.map ok
+  in
+  let moved =
+    List.length
+      (List.filteri (fun j d -> (j mod w = 0) <> (d = caller)) ran_on)
+  in
+  Alcotest.(check int) "steals equal the jobs that moved" moved
+    (steals () - before)
 
 let test_domains_timeout_rejected () =
   Alcotest.check_raises "domains + timeout is a caller error"
@@ -921,5 +969,9 @@ let domains_suite =
       test_dpool_telemetry_parity;
     Alcotest.test_case "campaign verdicts invariant under domains executor"
       `Quick test_cross_executor_domains_parity;
+    Alcotest.test_case "dpool caller is worker 0 of min jobs cores" `Quick
+      test_dpool_caller_is_worker;
+    Alcotest.test_case "dpool steal counter equals the jobs that moved"
+      `Quick test_dpool_steal_count;
     Alcotest.test_case "domains executor rejects a timeout" `Quick
       test_domains_timeout_rejected ]
