@@ -337,9 +337,11 @@ let stats_arg =
 
 (* Worker-pool flags.  The term yields [None] when --jobs was absent so
    each command can pick its own resting point — and so an explicit
-   --jobs N (any N, even 1) can force the fork pool while the absent
-   default may choose the in-process path on 1-core hosts, where
-   forking only adds overhead. *)
+   --jobs N (any N, even 1) can force faultsim's pool while the absent
+   default may choose the plain in-process path on 1-core hosts.  Which
+   executor backs that pool is --exec-mode's choice: under its default
+   [`Auto], short mutants run on in-process domains and only long or
+   timeout-bearing campaigns fork. *)
 let jobs_term =
   let jobs =
     Arg.(
@@ -347,11 +349,14 @@ let jobs_term =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Number of worker processes (faultsim defaults to the \
-             machine's core count, or the in-process path on a 1-core \
-             host; sec to 1).  Jobs run in forked workers with crash \
-             isolation; verdicts are independent of $(docv).  An \
-             explicit $(docv) — even 1 — always forces the fork pool.")
+            "Number of workers (faultsim defaults to the machine's core \
+             count, or the plain in-process path on a 1-core host; sec \
+             to 1).  sec races its strategies in forked workers.  \
+             faultsim's pool runs on the --exec-mode executor: under the \
+             default $(b,auto), short mutants run on in-process domains \
+             and long or timeout-bearing ones in forked workers with \
+             crash isolation.  An explicit $(docv) — even 1 — always \
+             forces the pool.  Verdicts are independent of $(docv).")
   in
   let check = function
     | Some n when n < 1 -> Error (`Msg "--jobs must be at least 1")
@@ -454,10 +459,6 @@ let exec_mode_term =
            timeout-bearing workloads.  Verdicts are byte-identical across \
            modes.  Default: auto.")
 
-let reason_string = function
-  | Dfv_sat.Solver.Conflict_limit -> "conflict budget exhausted"
-  | Dfv_sat.Solver.Time_limit -> "time budget exhausted"
-
 let print_stats (s : Checker.stats) =
   let reuse_pct =
     let total = s.Checker.nodes_encoded + s.Checker.nodes_reused in
@@ -513,7 +514,8 @@ let print_slm_wire ~stats:want_stats w =
     finish stats;
     exit_cex
   | Dfv_par.Portfolio.W_unknown (reason, stats) ->
-    Printf.printf "UNKNOWN  (%s after %.3fs)\n" (reason_string reason)
+    Printf.printf "UNKNOWN  (%s after %.3fs)\n"
+      (Dfv_sat.Solver.reason_string reason)
       stats.Checker.wall_seconds;
     finish stats;
     exit_unknown

@@ -118,29 +118,6 @@ let eval g env l =
   let inputs = Array.init g.ninputs env in
   lit_of_node_value (simulate g inputs) l
 
-let word_mask = (1 lsl 62) - 1
-
-let simulate_words g inputs =
-  let values = Array.make g.n 0 in
-  for i = 0 to g.n - 1 do
-    match g.nodes.(i) with
-    | Const -> values.(i) <- 0
-    | Input k ->
-      values.(i) <-
-        (if k < Array.length inputs then inputs.(k) land word_mask else 0)
-    | And (a, b) ->
-      let va =
-        let v = values.(a lsr 1) in
-        if a land 1 = 1 then lnot v land word_mask else v
-      in
-      let vb =
-        let v = values.(b lsr 1) in
-        if b land 1 = 1 then lnot v land word_mask else v
-      in
-      values.(i) <- va land vb
-  done;
-  values
-
 let node_fanins g n =
   match g.nodes.(n) with
   | And (a, b) -> Some (a, b)
@@ -170,7 +147,6 @@ let sat_lit m l =
 
 let fresh_encoded m = m.fresh_nodes
 let reuse_hits m = m.reuse_hits
-let encoded_nodes m = Hashtbl.length m.vars
 
 let encode_cone m root =
   (* Iterative DFS over the cone of [root]; nodes are numbered in

@@ -66,11 +66,6 @@ val simulate : t -> bool array -> bool array
 val lit_of_node_value : bool array -> lit -> bool
 (** Read a literal's value out of a {!simulate} result. *)
 
-val simulate_words : t -> int array -> int array
-(** Bit-parallel simulation: input [k] carries a 62-bit pattern word;
-    the result gives each node's 62 evaluations packed the same way.
-    This powers the candidate detection of SAT sweeping. *)
-
 val node_fanins : t -> int -> (lit * lit) option
 (** [node_fanins g n] is [Some (a, b)] when node [n] is an AND of
     literals [a] and [b]; [None] for the constant and inputs. *)
@@ -122,9 +117,6 @@ val fresh_encoded : cnf_map -> int
 val reuse_hits : cnf_map -> int
 (** Number of cone visits answered by an already-present encoding — both
     sharing within one {!encode} call and hits from earlier calls. *)
-
-val encoded_nodes : cnf_map -> int
-(** Number of distinct AIG nodes currently encoded (= {!fresh_encoded}). *)
 
 val check_sat :
   ?assumptions:lit list -> t -> lit -> [ `Sat of bool array | `Unsat ]

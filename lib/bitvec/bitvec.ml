@@ -154,7 +154,6 @@ let compare a b =
 
 let ult a b = ucompare a b < 0
 let ule a b = ucompare a b <= 0
-let ugt a b = ucompare a b > 0
 let uge a b = ucompare a b >= 0
 let slt a b = scompare a b < 0
 let sle a b = scompare a b <= 0

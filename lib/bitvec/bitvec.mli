@@ -109,7 +109,6 @@ val scompare : t -> t -> int
 
 val ult : t -> t -> bool
 val ule : t -> t -> bool
-val ugt : t -> t -> bool
 val uge : t -> t -> bool
 val slt : t -> t -> bool
 val sle : t -> t -> bool

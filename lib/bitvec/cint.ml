@@ -94,7 +94,6 @@ let usual_conversions a b =
 
 let overflows = ref 0
 let reset_overflow_count () = overflows := 0
-let overflow_count () = !overflows
 let overflow_occurred () = !overflows > 0
 
 let record_if_wrapped ty exact_fits =

@@ -110,10 +110,7 @@ val of_bitvec : ctype -> Bitvec.t -> t
 val reset_overflow_count : unit -> unit
 (** Reset the global counter of silently-wrapping signed operations. *)
 
-val overflow_count : unit -> int
-(** Number of signed operations that wrapped since the last reset.  This
-    is the instrumentation behind experiment C4: C models mask exactly
-    these events. *)
-
 val overflow_occurred : unit -> bool
-(** [overflow_count () > 0]. *)
+(** Whether a signed operation wrapped since the last reset.  This is
+    the instrumentation behind experiment C4: C models mask exactly
+    these events. *)

@@ -161,14 +161,9 @@ let to_json e =
   | Internal m -> obj "internal" [ ("detail", str m) ]
 
 let of_json v =
-  let required kind read name =
-    match read name v with
-    | Some x -> Ok x
-    | None -> Error (Printf.sprintf "missing %s field %S" kind name)
-  in
-  let str = required "string" Json.string_field in
-  let int = required "int" Json.int_field in
-  let num = required "number" Json.float_field in
+  let str = Json.required "string" Json.string_field v in
+  let int = Json.required "int" Json.int_field v in
+  let num = Json.required "number" Json.float_field v in
   let ( let* ) = Result.bind in
   let* kind = str "kind" in
   match kind with

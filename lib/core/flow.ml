@@ -36,64 +36,19 @@ let prepare ?engine p =
   | None -> Exec.auto p
   | Some e -> Exec.create ~engine:e p
 
-(* Constraints are evaluated by executing a wrapper function, exactly
-   mirroring how the SEC path elaborates them.  Each wrapper is
-   prepared once (compiled once on the compiled engine) and then run
-   per candidate vector. *)
+(* Constraints are evaluated by executing the same wrapper function the
+   SEC path elaborates.  Each wrapper is prepared once (compiled once on
+   the compiled engine) and then run per candidate vector. *)
 let constraint_checkers ?engine (pair : Pair.t) =
-  let fn =
-    match Ast.find_func pair.Pair.slm pair.Pair.slm.Ast.entry with
-    | Some f -> f
-    | None -> failwith "Flow: SLM entry not found"
-  in
   List.mapi
     (fun i expr ->
-      let cname = Printf.sprintf "__sim_constraint_%d" i in
-      let wrapper =
-        {
-          Ast.funcs =
-            pair.Pair.slm.Ast.funcs
-            @ [ {
-                  Ast.fname = cname;
-                  params = fn.Ast.params;
-                  ret = Ast.bool_ty;
-                  locals = [];
-                  body = [ Ast.Return expr ];
-                } ];
-          entry = cname;
-        }
-      in
-      let ex = prepare ?engine wrapper in
+      let ex = prepare ?engine (Spec.constraint_program pair.Pair.slm i expr) in
       fun args ->
         match Exec.run ex args with
         | Interp.Vint b -> not (Bitvec.is_zero b)
         | Interp.Varr _ -> false
         | exception Interp.Runtime_error _ -> false)
     pair.Pair.spec.Spec.constraints
-
-(* Run one concrete transaction through the RTL simulator [sim] from
-   its reset state and compare the spec's checks against the SLM's
-   result for the same [params]. *)
-let run_transaction (pair : Pair.t) sim params slm_result =
-  let spec = pair.Pair.spec in
-  Sim.reset sim;
-  let outputs = Array.make spec.Spec.rtl_cycles [] in
-  for t = 0 to spec.Spec.rtl_cycles - 1 do
-    outputs.(t) <- Sim.cycle sim (Spec.inputs_at spec params t)
-  done;
-  let expected (c : Spec.check) =
-    match (c.Spec.expect, slm_result) with
-    | Spec.Result, Interp.Vint bv -> bv
-    | Spec.Result_elem i, Interp.Varr a -> a.(i)
-    | Spec.Result, Interp.Varr _ | Spec.Result_elem _, Interp.Vint _ ->
-      failwith "Flow: result shape does not match the spec"
-  in
-  List.filter_map
-    (fun (c : Spec.check) ->
-      let got = List.assoc c.Spec.rtl_port outputs.(c.Spec.at_cycle) in
-      let e = expected c in
-      if Bitvec.equal got e then None else Some (c, e, got))
-    spec.Spec.checks
 
 (* Flip one random bit of one random (element of a) parameter value —
    the local move of the widening search. *)
@@ -150,7 +105,11 @@ let sample_stimulus points params =
       params
 
 let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
+  let spec = pair.Pair.spec in
   let body () =
+    match Spec.validate ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl spec with
+    | Error m -> Error (Dfv_error.Spec_violation m)
+    | Ok () ->
     let cov_points = stimulus_points pair in
     let params_sig, _ = Typecheck.entry_signature pair.Pair.slm in
     let st = Random.State.make [| seed; Hashtbl.hash pair.Pair.name |] in
@@ -247,14 +206,19 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
                })
         | Some (params, slm_result) -> (
           sample_stimulus cov_points params;
-          match run_transaction pair (Lazy.force sim) params slm_result with
+          let outputs = Spec.replay (Lazy.force sim) spec params in
+          match Spec.failed_checks spec outputs (Some slm_result) with
           | [] -> loop (i + 1)
-          | failed_checks ->
+          | failed ->
             Trace.instant ~cat:"flow"
               ~args:
                 [ ("design", Dfv_obs.Json.String pair.Pair.name);
                   ("transaction", Dfv_obs.Json.Int i) ]
               "flow.sim_mismatch";
+            (* The SLM ran, so every check has an expected value. *)
+            let failed_checks =
+              List.map (fun (c, e, got) -> (c, Option.get e, got)) failed
+            in
             Ok (Sim_mismatch { vector_index = i; params; failed_checks }))
     in
     loop 0
@@ -319,9 +283,7 @@ let pp_report fmt r =
       cex.Checker.params
   | Undecided (reason, stats) ->
     fprintf fmt "verdict: UNKNOWN (%s after %d conflicts, %.3fs)@."
-      (match reason with
-      | Dfv_sat.Solver.Conflict_limit -> "conflict budget exhausted"
-      | Dfv_sat.Solver.Time_limit -> "time budget exhausted")
+      (Dfv_sat.Solver.reason_string reason)
       stats.Checker.sat_conflicts stats.Checker.wall_seconds
   | Simulated (Sim_clean { vectors }) ->
     fprintf fmt "verdict: SIMULATION CLEAN (%d transactions; no proof)@." vectors
@@ -383,14 +345,6 @@ let triage_bundle (pair : Pair.t) ~kind ?txn_index params failures =
     ~stimulus:(stimulus_strings params)
     ~failures ?vcd ~vcd_window:window ()
 
-let expected_of_slm slm_result (c : Spec.check) =
-  match (c.Spec.expect, slm_result) with
-  | Spec.Result, Some (Interp.Vint bv) -> Some (Bitvec.to_string bv)
-  | Spec.Result_elem i, Some (Interp.Varr a) when i >= 0 && i < Array.length a
-    ->
-    Some (Bitvec.to_string a.(i))
-  | _ -> None
-
 let triage_of_report (pair : Pair.t) (r : report) =
   match r.outcome with
   | Proved _ | Undecided _ | Simulated (Sim_clean _) | Errored _ -> None
@@ -401,7 +355,9 @@ let triage_of_report (pair : Pair.t) (r : report) =
           {
             Triage.f_port = c.Spec.rtl_port;
             f_cycle = c.Spec.at_cycle;
-            f_expected = expected_of_slm cex.Checker.slm_result c;
+            f_expected =
+              Option.map Bitvec.to_string
+                (Spec.expected c cex.Checker.slm_result);
             f_got = Bitvec.to_string got;
           })
         cex.Checker.failed_checks

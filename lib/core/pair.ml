@@ -23,18 +23,6 @@ type audit = {
   sec_blocker : string option;
 }
 
-let spec_covers_ports t =
-  let undriven =
-    List.filter
-      (fun p -> not (List.mem_assoc p.Netlist.port_name t.spec.Spec.drives))
-      t.rtl.Netlist.e_inputs
-  in
-  match undriven with
-  | [] ->
-    if t.spec.Spec.checks = [] then Error "spec has no output checks" else Ok ()
-  | p :: _ ->
-    Error (Printf.sprintf "RTL input %s is not driven by the spec" p.Netlist.port_name)
-
 let audit t =
   let slm_types = Typecheck.check_report t.slm in
   let violations = Guideline.check t.slm in
@@ -47,7 +35,7 @@ let audit t =
       if not conditioned then
         Some "SLM violates the model-conditioning guidelines"
       else begin
-        match spec_covers_ports t with
+        match Spec.validate ~slm:t.slm ~rtl:t.rtl t.spec with
         | Error m -> Some m
         | Ok () -> None
       end

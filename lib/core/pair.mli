@@ -30,7 +30,8 @@ type audit = {
       (** no blocking violations: the SLM admits static analysis *)
   rtl_issues : Dfv_rtl.Lint.issue list;  (** structural RTL lint *)
   sec_ready : bool;
-      (** typechecks, conditioned, and the spec covers the RTL ports *)
+      (** typechecks, conditioned, and {!Dfv_sec.Spec.validate} accepts
+          the spec *)
   sec_blocker : string option;
       (** why SEC cannot run, when [not sec_ready] *)
 }

@@ -25,8 +25,6 @@ type t = {
   mutable matched : int;
   mutable mismatches : mismatch list;
   mutable latencies : int list;
-  mutable value_cov : (Dfv_obs.Coverage.point * (Bitvec.t -> int)) option;
-  mutable latency_cov : Dfv_obs.Coverage.point option;
 }
 
 let m_matches = Dfv_obs.Metrics.counter "cosim.scoreboard.matches"
@@ -40,14 +38,7 @@ let create policy =
     matched = 0;
     mismatches = [];
     latencies = [];
-    value_cov = None;
-    latency_cov = None;
   }
-
-let attach_value_coverage t point ~of_value =
-  t.value_cov <- Some (point, of_value)
-
-let attach_latency_coverage t point = t.latency_cov <- Some point
 
 let tag_key tag = Bitvec.to_string tag
 
@@ -73,11 +64,7 @@ let expect ?tag t ~cycle value =
 let record_match t e ~cycle =
   t.matched <- t.matched + 1;
   Dfv_obs.Metrics.incr m_matches;
-  let latency = cycle - e.e_cycle in
-  (match t.latency_cov with
-  | Some p -> Dfv_obs.Coverage.sample p latency
-  | None -> ());
-  t.latencies <- latency :: t.latencies
+  t.latencies <- (cycle - e.e_cycle) :: t.latencies
 
 let record_mismatch t ~cycle ~expected ~observed ~tag =
   Dfv_obs.Metrics.incr m_mismatches;
@@ -93,9 +80,6 @@ let record_mismatch t ~cycle ~expected ~observed ~tag =
   t.mismatches <- { at_cycle = cycle; expected; observed; tag } :: t.mismatches
 
 let observe ?tag t ~cycle value =
-  (match t.value_cov with
-  | Some (p, of_value) -> Dfv_obs.Coverage.sample p (of_value value)
-  | None -> ());
   match t.policy with
   | Exact_cycle -> (
     match Queue.peek_opt t.pending with

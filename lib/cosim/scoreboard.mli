@@ -49,18 +49,6 @@ val observe :
   ?tag:Dfv_bitvec.Bitvec.t -> t -> cycle:int -> Dfv_bitvec.Bitvec.t -> unit
 (** Record an RTL observation. *)
 
-val attach_value_coverage :
-  t ->
-  Dfv_obs.Coverage.point ->
-  of_value:(Dfv_bitvec.Bitvec.t -> int) ->
-  unit
-(** Sample the coverpoint with [of_value v] on every observation —
-    functional coverage of what the DUT actually produced. *)
-
-val attach_latency_coverage : t -> Dfv_obs.Coverage.point -> unit
-(** Sample the coverpoint with the observation latency (observe cycle -
-    expect cycle) on every match. *)
-
 val report : t -> report
 (** Summarize; call after the run.  Pending expectations count as
     [unconsumed]. *)

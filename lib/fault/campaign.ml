@@ -62,10 +62,6 @@ let mutant_site = function
   | Slm_mutant f -> f.Fault.sf_site
   | Custom_mutant c -> c.cm_name
 
-let reason_string = function
-  | Solver.Conflict_limit -> "conflict budget exhausted"
-  | Solver.Time_limit -> "time budget exhausted"
-
 (* --- wire form ---------------------------------------------------------
 
    The per-mutant result as it crosses a worker pipe (see {!Pool.map}).
@@ -97,18 +93,12 @@ let verdict_to_json = function
   | Crashed e ->
     Json.Obj [ ("kind", Json.String "crashed"); ("error", Dfv_error.to_json e) ]
 
-let str_field v name =
-  match Json.string_field name v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" name)
+let str_field = Json.required "string" Json.string_field
 
 let verdict_of_json v =
   let ( let* ) = Result.bind in
   let str = str_field v in
-  let seconds () =
-    Option.to_result (Json.float_field "seconds" v)
-      ~none:"missing number field \"seconds\""
-  in
+  let seconds () = Json.required "number" Json.float_field v "seconds" in
   let* kind = str "kind" in
   match kind with
   | "detected" ->
@@ -305,7 +295,8 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
               in
               Detected { engine = "sec"; seconds = elapsed (); localized }
             | Checker.Unknown (reason, _) ->
-              Unknown { reason = reason_string reason; seconds = elapsed () }
+              Unknown
+                { reason = Solver.reason_string reason; seconds = elapsed () }
             | Checker.Equivalent _ -> (
               (* SEC accepted the mutant: cross-examine by simulation.
                  A mismatch here means the prover signed off on a

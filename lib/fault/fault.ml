@@ -173,16 +173,6 @@ let enumerate_rtl ?(seed = 0) ?(max_faults = 24) (e : Netlist.elaborated) =
       }
       :: !faults
   in
-  let mem_word n =
-    match
-      List.find_opt
-        (fun (m : Netlist.memory) -> String.equal m.Netlist.mem_name n)
-        e.Netlist.e_mems
-    with
-    | Some m -> m.Netlist.word_width
-    | None -> raise (Netlist.Elaboration_error ("unknown memory " ^ n))
-  in
-  let expr_width ex = Expr.width_in e.Netlist.e_signal_width mem_word ex in
   let replace_wire n ex' el =
     {
       el with
@@ -224,7 +214,7 @@ let enumerate_rtl ?(seed = 0) ?(max_faults = 24) (e : Netlist.elaborated) =
     e.Netlist.e_wires;
   List.iter
     (fun (n, ex) ->
-      stuck n (expr_width ex) (replace_output n);
+      stuck n (Netlist.expr_width e ex) (replace_output n);
       List.iter
         (fun (c, d, ex') -> add c n d (replace_output n ex'))
         (expr_mutations ex))

@@ -195,18 +195,6 @@ let run ?budget ?(seed = 0) ?sim_vectors ?engine ?jobs ?timeout ?deadline
    a resume may pick different values for all five. *)
 let campaign_key ~budget ~seed ~sim_vectors ~engine ~max_rtl_faults
     ~max_slm_faults ~designs =
-  let budget_key =
-    match budget with
-    | None -> "-"
-    | Some b ->
-      Printf.sprintf "c=%s,s=%s"
-        (match b.Dfv_sat.Solver.max_conflicts with
-        | Some c -> string_of_int c
-        | None -> "-")
-        (match b.Dfv_sat.Solver.max_seconds with
-        | Some s -> Printf.sprintf "%g" s
-        | None -> "-")
-  in
   Printf.sprintf
     "faultsim|designs=%s|seed=%d|vectors=%d|engine=%s|max_rtl=%d|max_slm=%d|budget=%s"
     (String.concat "," designs) seed sim_vectors
@@ -214,7 +202,8 @@ let campaign_key ~budget ~seed ~sim_vectors ~engine ~max_rtl_faults
     | None -> "auto"
     | Some `Compiled -> "compiled"
     | Some `Interp -> "interp")
-    max_rtl_faults max_slm_faults budget_key
+    max_rtl_faults max_slm_faults
+    (Dfv_sat.Solver.budget_key budget)
 
 let default_min_rate = 0.95
 

@@ -303,6 +303,11 @@ let check p =
 
 let check_report p = match check p with () -> Ok () | exception Type_error m -> Error m
 
+let check_entry p =
+  match find_func p p.entry with
+  | Some f -> check_func p f
+  | None -> fail "entry function %s not found" p.entry
+
 let entry_signature p =
   match find_func p p.entry with
   | Some f -> (f.params, f.ret)

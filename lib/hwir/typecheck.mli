@@ -17,6 +17,10 @@ val check : Ast.program -> unit
 val check_report : Ast.program -> (unit, string) result
 (** Non-raising wrapper. *)
 
+val check_entry : Ast.program -> unit
+(** {!check} for the entry function alone: the other functions are read
+    only for the signatures its calls need. *)
+
 val entry_signature : Ast.program -> (string * Ast.ty) list * Ast.ty
 (** Parameter list and return type of the entry function.  Raises
     {!Type_error} if the entry is missing. *)

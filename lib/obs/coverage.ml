@@ -141,7 +141,6 @@ let group_coverage g =
     List.fold_left (fun acc p -> acc +. point_coverage p) 0.0 ps
     /. float_of_int (List.length ps)
 
-let group_name g = g.grp_name
 let points g = List.rev g.grp_points
 let point_name p = p.pt_name
 let groups () = List.rev registry.order

@@ -49,7 +49,6 @@ val point_coverage : point -> float
 val group_coverage : group -> float
 (** Unweighted mean over the group's points (1.0 for an empty group). *)
 
-val group_name : group -> string
 val points : group -> point list
 val point_name : point -> string
 val groups : unit -> group list

@@ -290,6 +290,11 @@ let float_field name v =
   | Some (Int i) -> Some (float_of_int i)
   | _ -> None
 
+let required kind read v name =
+  match read name v with
+  | Some x -> Ok x
+  | None -> Error (Printf.sprintf "missing %s field %S" kind name)
+
 let envelope_of v =
   match (string_field "schema" v, int_field "version" v) with
   | Some schema, Some version -> Some (schema, version)

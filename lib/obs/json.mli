@@ -50,6 +50,12 @@ val int_field : string -> t -> int option
 val float_field : string -> t -> float option
 (** A numeric field as a float: an [Int] reads as its value. *)
 
+val required :
+  string -> (string -> t -> 'a option) -> t -> string -> ('a, string) result
+(** [required kind read v name] is [read name v] as a result, failing
+    with ["missing <kind> field \"<name>\""]; [kind] names the type
+    the reader wants (["string"], ["int"], ...). *)
+
 val envelope_of : t -> (string * int) option
 (** [(schema, version)] when the value is an object carrying the common
     envelope — a [String] ["schema"] and an [Int] ["version"] field. *)

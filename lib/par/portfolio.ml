@@ -35,14 +35,9 @@ let stats_to_json (s : Checker.stats) =
 
 let ( let* ) = Result.bind
 
-let required kind read v name =
-  match read name v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "missing %s field %S" kind name)
-
-let int_field = required "int" Json.int_field
-let float_field = required "float" Json.float_field
-let string_field = required "string" Json.string_field
+let int_field = Json.required "int" Json.int_field
+let float_field = Json.required "float" Json.float_field
+let string_field = Json.required "string" Json.string_field
 
 let stats_of_json v : (Checker.stats, string) result =
   let* aig_ands = int_field v "aig_ands" in
@@ -207,17 +202,6 @@ let verdict_of_slm_wire ~slm ~rtl ~spec = function
     Checker.Not_equivalent (Checker.cex_of_params ~slm ~rtl ~spec params, stats)
   | W_unknown (r, stats) -> Checker.Unknown (r, stats)
 
-let budget_key = function
-  | None -> "-"
-  | Some b ->
-    Printf.sprintf "c=%s,s=%s"
-      (match b.Solver.max_conflicts with
-      | Some c -> string_of_int c
-      | None -> "-")
-      (match b.Solver.max_seconds with
-      | Some s -> Printf.sprintf "%g" s
-      | None -> "-")
-
 let slm_wire_category = function
   | Ok (W_equivalent _) -> "equivalent"
   | Ok (W_not_equivalent _) -> "cex"
@@ -246,7 +230,7 @@ let check_slm_rtl ?jobs ?budget ?journal ?(progress = false) ~slm ~rtl ~spec
     | Some path -> (
       let key =
         "sec-portfolio|" ^ Dfv_sec.Fingerprint.pair ~slm ~rtl ~spec
-        ^ "|budget=" ^ budget_key budget
+        ^ "|budget=" ^ Solver.budget_key budget
       in
       match Journal.open_ ~path ~campaign:key with
       | Ok j -> Ok (Some j)

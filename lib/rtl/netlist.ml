@@ -294,6 +294,14 @@ let elaborate (m : t) : elaborated =
     e_signal_width = sig_width;
   }
 
+let expr_width e ex =
+  let mem_word n =
+    match List.find_opt (fun m -> m.mem_name = n) e.e_mems with
+    | Some m -> m.word_width
+    | None -> fail "reference to unknown memory %s" n
+  in
+  Expr.width_in e.e_signal_width mem_word ex
+
 let signal_names e =
   List.sort compare
     (List.map (fun p -> p.port_name) e.e_inputs

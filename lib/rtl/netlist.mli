@@ -84,5 +84,10 @@ val elaborate : t -> elaborated
     ports narrower than needed being fine but wider contents mismatches
     rejected, bad memory init length, and combinational cycles. *)
 
+val expr_width : elaborated -> Expr.t -> int
+(** Width of an expression over the design's signals and memories, such
+    as an output's.  Raises {!Expr.Width_error} or
+    {!Elaboration_error} on an ill-formed one. *)
+
 val signal_names : elaborated -> string list
 (** All signal names (inputs, wires, registers), sorted. *)

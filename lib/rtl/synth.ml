@@ -5,8 +5,6 @@ open Netlist
 
 type state_id = Reg of string | Mem_word of string * int
 
-let compare_state_id = compare
-
 let state_id_name = function
   | Reg n -> n
   | Mem_word (m, i) -> Printf.sprintf "%s[%d]" m i

@@ -12,7 +12,6 @@ type state_id =
   | Reg of string
   | Mem_word of string * int  (** memory name, word index *)
 
-val compare_state_id : state_id -> state_id -> int
 val state_id_name : state_id -> string
 
 val state_elements :

@@ -68,13 +68,3 @@ let sample t =
         (* Signal not yet settled (e.g. before the first cycle). *)
         ())
     t.signals
-
-let to_file path design sim =
-  let buf = Buffer.create 4096 in
-  let t = create buf design sim in
-  let close () =
-    let oc = open_out path in
-    Buffer.output_buffer oc buf;
-    close_out oc
-  in
-  ((fun () -> sample t), close)

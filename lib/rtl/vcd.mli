@@ -22,7 +22,3 @@ val create : Buffer.t -> Netlist.elaborated -> Sim.t -> t
 val sample : t -> unit
 (** Record the current values of all signals; only changes since the last
     sample are emitted, per the VCD format. *)
-
-val to_file : string -> Netlist.elaborated -> Sim.t -> (unit -> unit) * (unit -> unit)
-(** [to_file path design sim] is [(sample, close)]: a convenience wrapper
-    that buffers samples and writes the file on [close]. *)

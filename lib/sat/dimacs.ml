@@ -46,13 +46,6 @@ let parse_string text =
          (List.length clauses));
   { num_vars = !num_vars; clauses }
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_string text
-
 let to_string cnf =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf

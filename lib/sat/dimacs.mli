@@ -11,9 +11,6 @@ val parse_string : string -> cnf
     problem line ([p cnf V C]) is validated.  Raises [Failure] with a
     descriptive message on malformed input. *)
 
-val parse_file : string -> cnf
-(** {!parse_string} on a file's contents. *)
-
 val to_string : cnf -> string
 (** Render a CNF in DIMACS format. *)
 

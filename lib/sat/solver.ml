@@ -14,9 +14,21 @@ type result = Sat | Unsat
 
 type reason = Conflict_limit | Time_limit
 
+let reason_string = function
+  | Conflict_limit -> "conflict budget exhausted"
+  | Time_limit -> "time budget exhausted"
+
 type budget = { max_conflicts : int option; max_seconds : float option }
 
 let no_budget = { max_conflicts = None; max_seconds = None }
+
+let budget_key = function
+  | None -> "-"
+  | Some b ->
+    let field show = function Some v -> show v | None -> "-" in
+    Printf.sprintf "c=%s,s=%s"
+      (field string_of_int b.max_conflicts)
+      (field (Printf.sprintf "%g") b.max_seconds)
 
 (* Growable int vectors: the solver's hot loops need in-place push/pop
    without list allocation. *)

@@ -17,6 +17,11 @@ type reason =
   | Conflict_limit  (** The conflict budget was exhausted. *)
   | Time_limit      (** The wall-clock budget was exhausted. *)
 
+val reason_string : reason -> string
+(** ["conflict budget exhausted"] or ["time budget exhausted"]: the one
+    text every report, verdict line and campaign record gives a
+    reason. *)
+
 type budget = {
   max_conflicts : int option;  (** give up after this many conflicts *)
   max_seconds : float option;  (** give up after this much wall-clock time *)
@@ -28,6 +33,13 @@ type budget = {
 
 val no_budget : budget
 (** The unlimited budget: [solve_budgeted ~budget:no_budget] = {!solve}. *)
+
+val budget_key : budget option -> string
+(** The canonical text of an optional budget inside a key: ["-"] for
+    none, else ["c=<conflicts>,s=<seconds>"] with seconds printed by
+    [%g] and ["-"] for an unlimited field.  An [Unknown] verdict only
+    answers the budget that produced it, so serve stores, campaign
+    journals and portfolio journals are all bound to these bytes. *)
 
 val create : unit -> t
 (** A fresh solver with no variables and no clauses. *)

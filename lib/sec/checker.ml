@@ -58,76 +58,38 @@ let get_session budget session =
 
 (* --- SLM vs RTL ------------------------------------------------------- *)
 
-let source_word ~param_shapes ~port ~width (src : Spec.source) : Word.w =
+(* Words for the spec's sources, expected results and constraints.
+   [Spec.validate] has already ruled on every shape and width, so these
+   only build. *)
+let word = function
+  | Elab.Word w -> w
+  | Elab.Bank _ -> invalid_arg "Checker: spec not validated"
+
+let bank = function
+  | Elab.Bank b -> b
+  | Elab.Word _ -> invalid_arg "Checker: spec not validated"
+
+let source_word param_shapes (src : Spec.source) =
   match src with
-  | Spec.Const bv ->
-    if Bitvec.width bv <> width then
-      fail "constant for port %s has width %d, port is %d" port
-        (Bitvec.width bv) width;
-    Word.const bv
-  | Spec.Param name -> (
-    match List.assoc_opt name param_shapes with
-    | Some (Elab.Word w) ->
-      if Array.length w <> width then
-        fail "parameter %s has width %d, port %s is %d" name (Array.length w)
-          port width;
-      w
-    | Some (Elab.Bank _) -> fail "parameter %s is an array (use Param_elem)" name
-    | None -> fail "unknown SLM parameter %s" name)
-  | Spec.Param_elem (name, i) -> (
-    match List.assoc_opt name param_shapes with
-    | Some (Elab.Bank bank) ->
-      if i < 0 || i >= Array.length bank then
-        fail "element %d out of range for parameter %s" i name;
-      if Array.length bank.(i) <> width then
-        fail "elements of %s have width %d, port %s is %d" name
-          (Array.length bank.(i)) port width;
-      bank.(i)
-    | Some (Elab.Word _) -> fail "parameter %s is a scalar (use Param)" name
-    | None -> fail "unknown SLM parameter %s" name)
-  | Spec.Param_bits { name; hi; lo } -> (
-    match List.assoc_opt name param_shapes with
-    | Some (Elab.Word w) ->
-      if lo < 0 || hi < lo || hi >= Array.length w then
-        fail "bits [%d:%d] out of range for parameter %s" hi lo name;
-      if hi - lo + 1 <> width then
-        fail "bits [%d:%d] of %s have width %d, port %s is %d" hi lo name
-          (hi - lo + 1) port width;
-      Word.select w ~hi ~lo
-    | Some (Elab.Bank _) -> fail "parameter %s is an array" name
-    | None -> fail "unknown SLM parameter %s" name)
+  | Spec.Const bv -> Word.const bv
+  | Spec.Param name -> word (List.assoc name param_shapes)
+  | Spec.Param_elem (name, i) -> (bank (List.assoc name param_shapes)).(i)
+  | Spec.Param_bits { name; hi; lo } ->
+    Word.select (word (List.assoc name param_shapes)) ~hi ~lo
+
+let expected_word result (c : Spec.check) =
+  match c.expect with
+  | Spec.Result -> word result
+  | Spec.Result_elem i -> (bank result).(i)
 
 let constraint_words slm ~g param_shapes constraints =
+  let args = List.map snd param_shapes in
   List.mapi
     (fun i expr ->
-      let fn =
-        match Ast.find_func slm slm.Ast.entry with
-        | Some f -> f
-        | None -> fail "SLM entry %s not found" slm.Ast.entry
-      in
-      let cname = Printf.sprintf "__constraint_%d" i in
-      let wrapper =
-        {
-          Ast.funcs =
-            slm.Ast.funcs
-            @ [ {
-                  Ast.fname = cname;
-                  params = fn.Ast.params;
-                  ret = Ast.bool_ty;
-                  locals = [];
-                  body = [ Ast.Return expr ];
-                } ];
-          entry = cname;
-        }
-      in
-      (match Typecheck.check wrapper with
-      | () -> ()
-      | exception Typecheck.Type_error m -> fail "constraint %d: %s" i m);
-      match Elab.apply wrapper ~g (List.map snd param_shapes) with
-      | Elab.Word w when Array.length w = 1 -> w.(0)
-      | Elab.Word _ | Elab.Bank _ -> fail "constraint %d is not boolean" i)
+      (word (Elab.apply (Spec.constraint_program slm i expr) ~g args)).(0))
     constraints
 
+let validated result = Result.iter_error (fun m -> raise (Spec_error m)) result
 
 (* Deciding the miter.
 
@@ -226,117 +188,51 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
    The assignment fully determines the cex, which lets a portfolio
    worker ship only [params] (plain bitvectors) over its result pipe
    and the parent reconstruct the rest here. *)
-let cex_of_params ~slm ~rtl ~(spec : Spec.t) params =
-  List.iter
-    (fun (p, _) ->
-      let named q = q.Netlist.port_name = p in
-      if not (List.exists named rtl.Netlist.e_inputs) then
-        fail "no RTL input port named %s" p)
-    spec.drives;
+let rebuild_cex ~slm ~rtl ~spec params =
   let slm_result =
     match Interp.run slm (List.map snd params) with
     | v -> Some v
     | exception Interp.Runtime_error _ -> None
   in
-  (* Re-simulate the RTL on the concrete stimulus to report the actual
-     diverging values. *)
-  let sim = Sim.create rtl in
-  let rtl_outputs = Array.make spec.rtl_cycles [] in
-  for t = 0 to spec.rtl_cycles - 1 do
-    rtl_outputs.(t) <- Sim.cycle sim (Spec.inputs_at spec params t)
-  done;
-  let expected_value (c : Spec.check) =
-    match (c.expect, slm_result) with
-    | Spec.Result, Some (Interp.Vint bv) -> Some bv
-    | Spec.Result_elem i, Some (Interp.Varr a) -> Some a.(i)
-    | _, _ -> None
-  in
+  let outputs = Spec.replay (Sim.create rtl) spec params in
   let failed_checks =
-    List.filter_map
-      (fun (c : Spec.check) ->
-        let rtl_v = List.assoc c.rtl_port rtl_outputs.(c.at_cycle) in
-        match expected_value c with
-        | Some e when Bitvec.equal e rtl_v -> None
-        | Some _ | None -> Some (c, rtl_v))
-      spec.checks
+    List.map
+      (fun (c, _, got) -> (c, got))
+      (Spec.failed_checks spec outputs slm_result)
   in
   { params; slm_result; failed_checks }
+
+let cex_of_params ~slm ~rtl ~spec params =
+  validated (Spec.validate ~slm ~rtl spec);
+  rebuild_cex ~slm ~rtl ~spec params
 
 let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
     () =
   let t0 = now () in
   Typecheck.check slm;
-  if spec.rtl_cycles < 1 then fail "rtl_cycles must be >= 1";
+  validated (Spec.validate ~slm ~rtl spec);
   let session = get_session budget session in
   let budget = effective_budget budget session in
   let g = Session.graph session in
   let param_shapes, result = Elab.elaborate slm ~g in
-  (* Validate the drive list covers the RTL inputs exactly. *)
-  let port_width p =
-    match
-      List.find_opt (fun q -> q.Netlist.port_name = p) rtl.Netlist.e_inputs
-    with
-    | Some q -> q.Netlist.port_width
-    | None -> fail "no RTL input port named %s" p
-  in
-  List.iter
-    (fun p ->
-      match List.assoc_opt p.Netlist.port_name spec.drives with
-      | Some _ -> ()
-      | None -> fail "RTL input %s is not driven by the spec" p.Netlist.port_name)
-    rtl.Netlist.e_inputs;
-  List.iter (fun (p, _) -> ignore (port_width p)) spec.drives;
   let input_words t =
     List.map
       (fun (port, drive) ->
-        let width = port_width port in
-        let src =
-          match drive with
-          | Spec.Hold bv -> Spec.Const bv
-          | Spec.At f -> f t
-        in
-        (port, source_word ~param_shapes ~port ~width src))
+        (port, source_word param_shapes (Spec.source_at drive t)))
       spec.drives
   in
   let outs =
-    try
-      Session.unroll_from_reset session rtl ~cycles:spec.rtl_cycles
-        ~input_words
-    with Session.Error m -> raise (Spec_error m)
+    Session.unroll_from_reset session rtl ~cycles:spec.rtl_cycles ~input_words
   in
-  (* Expected words from the SLM result. *)
-  let expected_word (c : Spec.check) width =
-    match (c.expect, result) with
-    | Spec.Result, Elab.Word w ->
-      if Array.length w <> width then
-        fail "SLM result has width %d, RTL port %s is %d" (Array.length w)
-          c.rtl_port width;
-      w
-    | Spec.Result_elem i, Elab.Bank bank ->
-      if i < 0 || i >= Array.length bank then
-        fail "result element %d out of range" i;
-      if Array.length bank.(i) <> width then
-        fail "SLM result elements have width %d, RTL port %s is %d"
-          (Array.length bank.(i)) c.rtl_port width;
-      bank.(i)
-    | Spec.Result, Elab.Bank _ ->
-      fail "SLM result is an array (use Result_elem)"
-    | Spec.Result_elem _, Elab.Word _ ->
-      fail "SLM result is a scalar (use Result)"
+  let violated =
+    Aig.or_list g
+      (List.map
+         (fun (c : Spec.check) ->
+           Word.ne g
+             (List.assoc c.rtl_port outs.(c.at_cycle))
+             (expected_word result c))
+         spec.checks)
   in
-  if spec.checks = [] then fail "spec has no output checks";
-  let diffs =
-    List.map
-      (fun (c : Spec.check) ->
-        if c.at_cycle < 0 || c.at_cycle >= spec.rtl_cycles then
-          fail "check on %s at cycle %d outside transaction of %d cycles"
-            c.rtl_port c.at_cycle spec.rtl_cycles;
-        match List.assoc_opt c.rtl_port outs.(c.at_cycle) with
-        | None -> fail "no RTL output port named %s" c.rtl_port
-        | Some w -> Word.ne g w (expected_word c (Array.length w)))
-      spec.checks
-  in
-  let violated = Aig.or_list g diffs in
   let cstrs = constraint_words slm ~g param_shapes spec.constraints in
   let outcome, params, dsession =
     decide_miter ~sweep ~budget session param_shapes violated cstrs
@@ -346,7 +242,7 @@ let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
   | Solver.Unknown r, _ -> Unknown (r, stats_of dsession t0)
   | Solver.Sat, None -> assert false
   | Solver.Sat, Some params ->
-    Not_equivalent (cex_of_params ~slm ~rtl ~spec params, stats_of dsession t0)
+    Not_equivalent (rebuild_cex ~slm ~rtl ~spec params, stats_of dsession t0)
 
 (* --- SLM vs SLM -------------------------------------------------------- *)
 
@@ -361,6 +257,7 @@ let check_slm_slm ?budget ?session ~a ~b ?(constraints = []) () =
   in
   if sig_of a <> sig_of b then
     fail "entry signatures of the two SLMs differ";
+  validated (Spec.validate_constraints ~slm:a constraints);
   let session = get_session budget session in
   let budget = effective_budget budget session in
   let g = Session.graph session in

@@ -61,8 +61,9 @@ type verdict =
       (** The budget ran out before the query was decided. *)
 
 exception Spec_error of string
-(** Malformed specification: undriven RTL input, unknown port or
-    parameter, width mismatch, out-of-range cycle, non-bool constraint. *)
+(** A malformed specification, with the message {!Spec.validate} (or
+    {!Spec.validate_constraints}) gives; also raised on RTL pairs whose
+    ports differ and on a bound or depth below 1. *)
 
 val cex_of_params :
   slm:Dfv_hwir.Ast.program ->
@@ -72,10 +73,12 @@ val cex_of_params :
   cex
 (** Rebuild a full {!cex} from the SLM argument assignment alone: re-run
     the SLM interpreter for [slm_result] and re-simulate the RTL on the
-    concrete stimulus for [failed_checks].  The assignment determines
-    the counterexample completely, so a worker process (see
-    {!Dfv_par.Portfolio}) can ship just the parameter bitvectors over
-    its result pipe and the parent reconstructs the rest here. *)
+    concrete stimulus ({!Spec.replay}, {!Spec.failed_checks}) for
+    [failed_checks].  The assignment determines the counterexample
+    completely, so a worker process (see {!Dfv_par.Portfolio}) can ship
+    just the parameter bitvectors over its result pipe and the parent
+    reconstructs the rest here.  Raises {!Spec_error} when
+    {!Spec.validate} rejects [spec]. *)
 
 val check_slm_rtl :
   ?sweep:bool ->
@@ -89,7 +92,9 @@ val check_slm_rtl :
 (** Run one SLM-vs-RTL transaction equivalence query.  The SLM program
     must typecheck and be conditioned (statically elaborable); the
     checker raises {!Dfv_hwir.Elab.Not_synthesizable} otherwise — the
-    tool-flow consequence of violating the Section 4.3 guidelines.
+    tool-flow consequence of violating the Section 4.3 guidelines.  The
+    spec must pass {!Spec.validate}, checked before anything is
+    elaborated; {!Spec_error} carries its message otherwise.
 
     Solving is a portfolio: a bounded direct attempt first, then SAT
     sweeping ({!Dfv_aig.Sweep}) plus a query under whatever budget

@@ -33,11 +33,6 @@ let spec (s : Spec.t) =
 
 let pair ~slm:p ~rtl:e ~spec:s = digest (slm p, rtl e, spec s)
 
-let aig g ~outputs =
-  (* The AIG carries internal arrays whose layout depends on build
-     order; the AIGER text form is the canonical structural view. *)
-  digest (Dfv_aig.Aiger.to_string g ~outputs)
-
 let stimulus ~seed ~vectors = digest ("stimulus", seed, vectors)
 
 let combine parts = digest ("combine", parts)

@@ -30,11 +30,6 @@ val pair : slm:Dfv_hwir.Ast.program -> rtl:Dfv_rtl.Netlist.elaborated ->
   spec:Spec.t -> string
 (** Combined key for one SLM-vs-RTL equivalence query. *)
 
-val aig : Dfv_aig.Aig.t -> outputs:(string * Dfv_aig.Aig.lit) list -> string
-(** Digest of an and-inverter graph through its canonical AIGER text
-    form (node arrays are an implementation detail; the AIGER view is
-    the structure). *)
-
 val stimulus : seed:int -> vectors:int -> string
 (** Digest of a constrained-random stimulus configuration: the seed and
     the vector count determine every transaction drawn, so two runs

@@ -113,7 +113,6 @@ let stats t =
 (* --- encoding and solving -------------------------------------------- *)
 
 let encode t l = Aig.encode t.m l
-let assert_lit t l = Solver.add_clause t.solver [ encode t l ]
 let block t l = Solver.add_clause t.solver [ L.negate (encode t l) ]
 let activation t = L.pos (Solver.new_var t.solver)
 let guard t act l = Solver.add_clause t.solver [ L.negate act; encode t l ]

@@ -66,14 +66,10 @@ val encode : t -> Dfv_aig.Aig.lit -> Dfv_sat.Lit.t
 (** Encode a literal's cone (incrementally) and return its solver
     literal. *)
 
-val assert_lit : t -> Dfv_aig.Aig.lit -> unit
-(** Permanently constrain a literal true.  Only sound for session-level
-    facts (e.g. blocking a miter already proved unsatisfiable); use
-    {!guard} for per-query constraints. *)
-
 val block : t -> Dfv_aig.Aig.lit -> unit
-(** [block t l] = [assert_lit t (not l)]: permanently rule a literal
-    out.  BMC uses it on each frame miter proved unreachable. *)
+(** Permanently rule a literal out.  Only sound for session-level facts
+    (BMC uses it on each frame miter proved unreachable); use {!guard}
+    for per-query constraints. *)
 
 val activation : t -> Dfv_sat.Lit.t
 (** A fresh activation literal for scoping a query's constraints. *)

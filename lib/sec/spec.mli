@@ -52,10 +52,58 @@ val stream_in :
     and the last element respectively — a common transactor shape for
     serializing the SLM's parallel interface (paper, Section 3.2). *)
 
-val stream_out :
-  rtl_port:string -> count:int -> ?start:int -> ?stride:int -> unit -> check list
-(** Compare an array result element per cycle: element [i] against
-    [rtl_port] at cycle [start + i*stride]. *)
+(** {1 The rulebook}
+
+    SEC, simulation and the audit all run the same transaction, so they
+    share one definition of a well-formed spec: {!validate}.  The
+    checker raises [Checker.Spec_error], [Flow.simulate] returns
+    [Spec_violation] and [Pair.audit] blocks SEC, each with the message
+    {!validate} returns. *)
+
+val validate :
+  slm:Dfv_hwir.Ast.program ->
+  rtl:Dfv_rtl.Netlist.elaborated ->
+  t ->
+  (unit, string) result
+(** [validate ~slm ~rtl t] is [Ok ()] when [t] is a well-formed
+    transaction between [slm]'s entry function and [rtl], and
+    [Error message] for the first rule it breaks, checked in this
+    order:
+    - [rtl_cycles >= 1];
+    - every RTL input is driven, and every drive names an RTL input;
+    - at every cycle, each drive's source fits its SLM parameter's
+      shape and its port's width ([Param], the [Param_elem] index, the
+      [Param_bits] range, [Const]);
+    - there is at least one check;
+    - each check names an RTL output, sits inside the transaction, and
+      expects a result of the right shape and width;
+    - each constraint is a boolean over the entry's parameters
+      ({!validate_constraints}).
+
+    The SLM is read through its declared entry signature, so nothing is
+    elaborated.  Raises [Dfv_hwir.Typecheck.Type_error] when [slm] has
+    no entry function. *)
+
+val validate_constraints :
+  slm:Dfv_hwir.Ast.program -> Dfv_hwir.Ast.expr list -> (unit, string) result
+(** The last rule of {!validate} alone, for checks that have
+    constraints but no transaction (SLM against SLM): each constraint's
+    {!constraint_program} must typecheck.  Only the wrapper function is
+    typechecked, so the message names the constraint even when the
+    model itself is ill-typed. *)
+
+val constraint_program :
+  Dfv_hwir.Ast.program -> int -> Dfv_hwir.Ast.expr -> Dfv_hwir.Ast.program
+(** [constraint_program slm i expr] is [slm] plus a boolean function
+    [__constraint_<i>] over the entry's parameters that returns [expr],
+    as its entry.  The checker elaborates it into a side condition of
+    the miter and the simulation flow runs it to filter random vectors,
+    so both read a constraint the same way. *)
+
+(** {1 Running a transaction} *)
+
+val source_at : drive -> int -> source
+(** [source_at d c] is the source [d] feeds at cycle [c]. *)
 
 val inputs_at :
   t ->
@@ -67,4 +115,29 @@ val inputs_at :
     one value per entry of [drives], in order.  Raises [Not_found] for
     a parameter [params] lacks and [Failure] when a source does not fit
     its parameter's shape (an array used as a scalar, or a scalar
-    indexed or sliced). *)
+    indexed or sliced) — neither happens on a spec {!validate} accepts
+    with [params] drawn from the SLM's signature. *)
+
+val replay :
+  Dfv_rtl.Sim.t ->
+  t ->
+  (string * Dfv_hwir.Interp.value) list ->
+  (string * Dfv_bitvec.Bitvec.t) list array
+(** [replay sim t params] resets [sim] and runs the transaction that
+    [params] drives: element [c] of the result holds the RTL outputs of
+    cycle [c], for the [rtl_cycles] cycles. *)
+
+val expected :
+  check -> Dfv_hwir.Interp.value option -> Dfv_bitvec.Bitvec.t option
+(** The value a check expects from the SLM's result, or [None] when
+    there is no result (the SLM faulted) or it lacks that shape. *)
+
+val failed_checks :
+  t ->
+  (string * Dfv_bitvec.Bitvec.t) list array ->
+  Dfv_hwir.Interp.value option ->
+  (check * Dfv_bitvec.Bitvec.t option * Dfv_bitvec.Bitvec.t) list
+(** [failed_checks t outputs slm_result] is every check of [t], in
+    order, whose RTL value in [outputs] (as {!replay} returns them)
+    differs from its {!expected} value or has none, as
+    [(check, expected, rtl_value)]. *)

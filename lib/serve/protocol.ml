@@ -31,20 +31,6 @@ let op_name = function
   | Stats -> "stats"
   | Shutdown -> "shutdown"
 
-(* The canonical rendering of a solver budget inside a cache key: an
-   [Unknown] verdict is only reusable under the budget that produced
-   it, so the budget is part of the question. *)
-let budget_key = function
-  | None -> "-"
-  | Some b ->
-    Printf.sprintf "c=%s,s=%s"
-      (match b.Solver.max_conflicts with
-      | Some c -> string_of_int c
-      | None -> "-")
-      (match b.Solver.max_seconds with
-      | Some s -> Printf.sprintf "%g" s
-      | None -> "-")
-
 type request = { id : int; op : op }
 
 (* --- result payloads ---------------------------------------------------- *)
@@ -141,13 +127,8 @@ let request_to_json { id; op } =
 
 let ( let* ) = Result.bind
 
-let required kind read v name =
-  match read name v with
-  | Some x -> Ok x
-  | None -> Error (Printf.sprintf "missing %s field %S" kind name)
-
-let str_field = required "string" Json.string_field
-let int_field = required "int" Json.int_field
+let str_field = Json.required "string" Json.string_field
+let int_field = Json.required "int" Json.int_field
 
 let int_field_default v name d =
   match Json.field name v with

@@ -50,10 +50,6 @@ type op =
 
 val op_name : op -> string
 
-val budget_key : Dfv_sat.Solver.budget option -> string
-(** Canonical budget rendering for cache keys: an [Unknown] verdict is
-    only reusable under the budget that produced it. *)
-
 type request = { id : int; op : op }
 
 (** {2 Result payloads} *)

@@ -49,7 +49,7 @@ let sec_key pair budget =
     [ "sec";
       Fingerprint.pair ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl
         ~spec:pair.Pair.spec;
-      Protocol.budget_key budget ]
+      Dfv_sat.Solver.budget_key budget ]
 
 let sim_key pair ~vectors ~seed =
   Fingerprint.combine

@@ -26,8 +26,6 @@ let create k name ~capacity =
 let length f = Queue.length f.items
 let capacity f = f.cap
 let name f = f.fifo_name
-let data_written f = f.written_ev
-let data_read f = f.read_ev
 
 let try_write f v =
   if Queue.length f.items >= f.cap then false

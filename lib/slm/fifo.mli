@@ -26,9 +26,3 @@ val try_read : 'a t -> 'a option
 val length : 'a t -> int
 val capacity : 'a t -> int
 val name : 'a t -> string
-
-val data_written : 'a t -> Kernel.event
-(** Fires (delta) after a write. *)
-
-val data_read : 'a t -> Kernel.event
-(** Fires (delta) after a read. *)

@@ -92,6 +92,86 @@ let test_audit_spec_coverage () =
   let a = Pair.audit pair in
   check_bool "sec blocked by spec" false a.Pair.sec_ready
 
+(* Malformed variants of the alu spec.  The audit, SEC, counterexample
+   replay and simulation all read one rulebook, [Spec.validate], so
+   each must refuse every variant, and with the same message. *)
+let test_spec_rulebook_agrees () =
+  let pair = alu_pair () in
+  let spec = pair.Pair.spec in
+  let y = List.hd spec.Spec.checks in
+  let drives = spec.Spec.drives in
+  let op_13_bits =
+    ("op", Spec.Hold (Bitvec.zero 13)) :: List.remove_assoc "op" drives
+  in
+  let check_y c = { spec with Spec.checks = [ c ] } in
+  let variants =
+    [ ( { spec with Spec.drives = drives @ [ ("c", List.assoc "b" drives) ] },
+        "no RTL input port named c" );
+      ( { spec with Spec.drives = List.remove_assoc "b" drives },
+        "RTL input b is not driven by the spec" );
+      ( check_y { y with Spec.at_cycle = 1 },
+        "check on y at cycle 1 outside transaction of 1 cycles" );
+      (check_y { y with Spec.rtl_port = "z" }, "no RTL output port named z");
+      ({ spec with Spec.rtl_cycles = 0 }, "rtl_cycles must be >= 1");
+      ( { spec with Spec.drives = op_13_bits },
+        "constant for port op has width 13, port is 3" );
+      ( check_y { y with Spec.expect = Spec.Result_elem 0 },
+        "SLM result is a scalar (use Result)" );
+      ( { spec with Spec.constraints = [ Ast.var "a" ] },
+        "constraint 0: __constraint_0: return of type uint8, function returns \
+         uint1" ) ]
+  in
+  List.iter
+    (fun (spec, want) ->
+      let pair = { pair with Pair.spec } in
+      let check_msg who got =
+        Alcotest.(check string) (want ^ ": " ^ who) want got
+      in
+      (match (Pair.audit pair).Pair.sec_blocker with
+      | Some m -> check_msg "audit" m
+      | None -> Alcotest.failf "%s: audit let SEC run" want);
+      (match Flow.sec pair with
+      | exception Checker.Spec_error m -> check_msg "SEC" m
+      | _ -> Alcotest.failf "%s: SEC ran" want);
+      (match
+         Checker.cex_of_params ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl ~spec []
+       with
+      | exception Checker.Spec_error m -> check_msg "cex replay" m
+      | _ -> Alcotest.failf "%s: cex replay ran" want);
+      match Flow.simulate ~vectors:10 pair with
+      | Error (Dfv_error.Spec_violation m) -> check_msg "simulation" m
+      | Error e ->
+        Alcotest.failf "%s: simulation: %s" want (Dfv_error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: simulation ran" want)
+    variants
+
+(* Simulation is the fallback for a model that does not typecheck, so a
+   constraint is judged on its own: an ill-typed function the entry
+   never calls must not turn a well-typed constraint into a spec
+   violation. *)
+let test_simulate_ill_typed_model_under_constraints () =
+  let open Ast in
+  let pair = alu_pair () in
+  let junk =
+    {
+      fname = "junk";
+      params = [];
+      ret = uint 8;
+      locals = [];
+      body = [ ret (u 4 1) ];
+    }
+  in
+  let slm = { pair.Pair.slm with funcs = pair.Pair.slm.funcs @ [ junk ] } in
+  let spec =
+    { pair.Pair.spec with Spec.constraints = [ var "a" <^ u 8 128 ] }
+  in
+  let pair = { pair with Pair.slm; spec } in
+  check_bool "audit blocks SEC" false (Pair.audit pair).Pair.sec_ready;
+  match Flow.simulate ~vectors:50 pair with
+  | Ok (Flow.Sim_clean { vectors }) -> check_int "all run" 50 vectors
+  | Ok (Flow.Sim_mismatch _) -> Alcotest.fail "clean alu mismatched"
+  | Error e -> Alcotest.failf "simulation refused: %s" (Dfv_error.to_string e)
+
 let test_flow_simulate_clean () =
   match Flow.simulate ~vectors:300 (alu_pair ()) with
   | Ok (Flow.Sim_clean { vectors }) -> check_int "all run" 300 vectors
@@ -371,6 +451,10 @@ let suite =
     Alcotest.test_case "audit unconditioned SLM" `Quick
       test_audit_unconditioned;
     Alcotest.test_case "audit spec coverage" `Quick test_audit_spec_coverage;
+    Alcotest.test_case "audit, SEC and simulation share one spec rulebook"
+      `Quick test_spec_rulebook_agrees;
+    Alcotest.test_case "simulate judges constraints apart from the model"
+      `Quick test_simulate_ill_typed_model_under_constraints;
     Alcotest.test_case "simulate clean" `Quick test_flow_simulate_clean;
     Alcotest.test_case "simulate finds gross bug" `Quick
       test_flow_simulate_finds_gross_bug;

@@ -320,6 +320,18 @@ let test_budgeted_conflicts () =
   | Solver.Unsat -> ()
   | Solver.Sat | Solver.Unknown _ -> Alcotest.fail "php(9,8) must be unsat")
 
+(* Serve stores and campaign and portfolio journals are bound to these
+   bytes: changing them orphans every persisted key. *)
+let test_budget_key () =
+  let key c s =
+    Solver.budget_key (Some { Solver.max_conflicts = c; max_seconds = s })
+  in
+  let check = Alcotest.(check string) in
+  check "no budget" "-" (Solver.budget_key None);
+  check "conflicts only" "c=5000,s=-" (key (Some 5000) None);
+  check "seconds only" "c=-,s=0.25" (key None (Some 0.25));
+  check "both" "c=200,s=1.5" (key (Some 200) (Some 1.5))
+
 let test_budgeted_time () =
   let s = pigeonhole 9 8 in
   (match
@@ -547,6 +559,7 @@ let suite =
   @ [ Alcotest.test_case "solve_bounded budget" `Quick test_solve_bounded;
       Alcotest.test_case "budgeted conflicts" `Quick test_budgeted_conflicts;
       Alcotest.test_case "budgeted wall clock" `Quick test_budgeted_time;
+      Alcotest.test_case "budget key text" `Quick test_budget_key;
       Alcotest.test_case "budget validation" `Quick test_budget_validation;
       Alcotest.test_case "learnt DB reduction" `Quick test_learnt_reduction;
       Alcotest.test_case "locked reasons survive compaction" `Quick

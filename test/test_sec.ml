@@ -324,7 +324,10 @@ let test_spec_errors () =
             checks = [ { Spec.rtl_port = "s"; at_cycle = 3; expect = Spec.Result } ];
             constraints = [];
           }
-        ())
+        ());
+  expect "non-boolean constraint, SLM against SLM" (fun () ->
+      Checker.check_slm_slm ~a:slm_add ~b:slm_add
+        ~constraints:[ Ast.var "a" ] ())
 
 (* --- RTL vs RTL ---------------------------------------------------------- *)
 
