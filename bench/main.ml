@@ -1461,7 +1461,7 @@ let c5o () =
     in
     ignore
       (Dfv_fault.Campaign.run ?budget:!budget_opt ~seed:0 ~jobs ~pool:true
-         ~max_rtl_faults:8 ~max_slm_faults:4
+         ~exec:`Fork ~max_rtl_faults:8 ~max_slm_faults:4
          (Dfv_fault.Campaign.Sec_pair pair))
   in
   let snapshots jobs =

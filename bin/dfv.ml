@@ -12,19 +12,18 @@
      dfv triage <design>          reproduce a failure as a triage bundle
      dfv validate <file>...       check artifacts parse + carry the envelope
 
-   faultsim runs its mutants in pooled workers (--jobs, default = core
-   count, except on 1-core hosts where the default falls back to the
-   in-process path; --timeout bounds each mutant's wall clock), and
-   --exec-mode fork|domains|auto picks the executor backing its pool:
-   forked processes (crash isolation, timeouts), in-process
-   work-stealing domains (fastest on short jobs), or adaptive dispatch
-   between the two — verdicts are byte-identical across modes.  sec
-   --jobs N races solving strategies in forked workers, and the first
-   conclusive verdict kills the loser.  Both commands take --journal
-   FILE (durable write-ahead journal of verdicts) and --resume FILE
-   (replay a journal and run only what is missing); faultsim also
-   takes --deadline S (graceful degradation: shrink solver budgets,
-   then shed mutants to UNKNOWN instead of dying).  SIGINT/SIGTERM stop
+   faultsim runs its mutants on --jobs workers (default = core count;
+   one worker runs them in-process, in order).  The workers are
+   in-process work-stealing domains, unless --timeout bounds each
+   mutant's wall clock: only a forked process can be killed, so a
+   timeout runs them in forked workers.  Verdicts are byte-identical
+   either way.  sec --jobs N races solving strategies in forked
+   workers, and the first conclusive verdict kills the loser.  Both
+   commands take --journal FILE (durable write-ahead journal of
+   verdicts) and --resume FILE (replay a journal and run only what is
+   missing); faultsim also takes --deadline S (graceful degradation:
+   shrink solver budgets, then shed mutants to UNKNOWN instead of
+   dying).  SIGINT/SIGTERM stop
    the campaign cleanly: workers are killed, the journal is flushed,
    and the exit code is 4 ("interrupted, resumable").
 
@@ -336,12 +335,9 @@ let stats_arg =
            per-query solve times.")
 
 (* Worker-pool flags.  The term yields [None] when --jobs was absent so
-   each command can pick its own resting point — and so an explicit
-   --jobs N (any N, even 1) can force faultsim's pool while the absent
-   default may choose the plain in-process path on 1-core hosts.  Which
-   executor backs that pool is --exec-mode's choice: under its default
-   [`Auto], short mutants run on in-process domains and only long or
-   timeout-bearing campaigns fork. *)
+   each command can pick its own default.  --jobs is only a worker
+   count: which executor runs faultsim's workers follows from
+   --timeout alone. *)
 let jobs_term =
   let jobs =
     Arg.(
@@ -350,13 +346,11 @@ let jobs_term =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Number of workers (faultsim defaults to the machine's core \
-             count, or the plain in-process path on a 1-core host; sec \
-             to 1).  sec races its strategies in forked workers.  \
-             faultsim's pool runs on the --exec-mode executor: under the \
-             default $(b,auto), short mutants run on in-process domains \
-             and long or timeout-bearing ones in forked workers with \
-             crash isolation.  An explicit $(docv) — even 1 — always \
-             forces the pool.  Verdicts are independent of $(docv).")
+             count, sec to 1).  sec races its strategies in forked \
+             workers.  faultsim runs its mutants in-process at 1, on \
+             in-process domains above 1, and in forked workers with \
+             crash isolation whenever --timeout is given.  Verdicts are \
+             independent of $(docv).")
   in
   let check = function
     | Some n when n < 1 -> Error (`Msg "--jobs must be at least 1")
@@ -435,29 +429,6 @@ let timeout_term =
     | t -> Ok t
   in
   Term.(term_result (const check $ t))
-
-(* --exec-mode: which executor backs the worker pool.  The term yields
-   [None] when the flag was absent (the command then defaults to [`Auto]
-   once it decides to pool at all) so an explicit --exec-mode can also
-   force the pooled path where the resting default would have chosen the
-   plain in-process one. *)
-let exec_mode_term =
-  let mode_conv =
-    Arg.enum [ ("fork", `Fork); ("domains", `Domains); ("auto", `Auto) ]
-  in
-  Arg.(
-    value
-    & opt (some mode_conv) None
-    & info [ "exec-mode" ] ~docv:"MODE"
-        ~doc:
-          "Executor backing the worker pool: $(b,fork) runs each job in a \
-           forked process (crash isolation, --timeout support), \
-           $(b,domains) runs jobs on in-process work-stealing domains (no \
-           fork or pipe overhead — fastest on short jobs — but no crash \
-           isolation and incompatible with --timeout), $(b,auto) routes \
-           short jobs to domains and keeps fork for long or \
-           timeout-bearing workloads.  Verdicts are byte-identical across \
-           modes.  Default: auto.")
 
 let print_stats (s : Checker.stats) =
   let reuse_pct =
@@ -753,35 +724,12 @@ let faultsim_cmd =
      detection rate (exit 1 when the gate fails)."
   in
   let run budget designs seed max_faults max_slm_faults sim_vectors engine
-      jobs exec timeout deadline journal_path json progress obs =
+      jobs timeout deadline journal_path json progress obs =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
-    (match (exec, timeout) with
-    | Some `Domains, Some _ ->
-      Printf.eprintf
-        "error: --exec-mode domains is incompatible with --timeout \
-         (in-process domains cannot be killed mid-job); use --exec-mode \
-         fork or drop --timeout\n";
-      exit exit_error
-    | _ -> ());
     match
       Dfv_error.guard (fun () ->
-          (* Explicit --jobs (any N) forces the pool; the absent default
-             is the core count, except on a 1-core host with no --timeout
-             and no explicit --exec-mode, where pooling per mutant only
-             adds overhead and the in-process path is behaviourally
-             identical.  An explicit --exec-mode forces the pooled path
-             so the executor choice takes effect. *)
-          let jobs, pool =
-            match jobs with
-            | Some n -> (n, Some true)
-            | None ->
-              let n = Dfv_par.Pool.cores () in
-              if n = 1 && timeout = None && exec = None then (1, Some false)
-              else if exec = None then (n, None)
-              else (n, Some true)
-          in
-          let exec = Option.value exec ~default:`Auto in
+          let jobs = Option.value jobs ~default:(Dfv_par.Pool.cores ()) in
           let journal =
             match journal_path with
             | None -> None
@@ -804,8 +752,8 @@ let faultsim_cmd =
           | _ -> ());
           let reports =
             Dfv_fault.Suite.run ?budget ~seed ~sim_vectors ?engine ~jobs
-              ?timeout ?deadline ?journal ?pool ~exec
-              ~max_rtl_faults:max_faults ~max_slm_faults ~progress ~designs ()
+              ?timeout ?deadline ?journal ~max_rtl_faults:max_faults
+              ~max_slm_faults ~progress ~designs ()
           in
           if Dfv_par.Pool.stop_requested () then begin
             (match journal_path with
@@ -857,7 +805,7 @@ let faultsim_cmd =
     Term.(
       const run $ budget_term $ fault_designs_term $ fault_seed_arg
       $ max_faults_arg $ max_slm_faults_arg $ fault_vectors_arg $ engine_term
-      $ jobs_term $ exec_mode_term $ timeout_term $ deadline_term
+      $ jobs_term $ timeout_term $ deadline_term
       $ journal_term $ fault_json_arg $ progress_arg $ obs_term)
 
 (* --- serve / client ---------------------------------------------------- *)
@@ -905,7 +853,7 @@ let serve_cmd =
             "Write the dfv-serve summary artifact (per-endpoint hit \
              rates, cache counters, request log) to $(docv) on exit.")
   in
-  let run socket cache store summary jobs exec obs =
+  let run socket cache store summary jobs obs =
     with_obs obs @@ fun () ->
     with_interrupt @@ fun () ->
     let resolve ~design ~bug =
@@ -922,7 +870,6 @@ let serve_cmd =
               store;
               summary;
               jobs = Option.value jobs ~default:(Dfv_par.Pool.cores ());
-              exec = Option.value exec ~default:`Auto;
             }
           in
           Dfv_serve.Server.run ~resolve cfg)
@@ -935,7 +882,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(
       const run $ socket_arg $ cache_arg $ store_arg $ summary_arg
-      $ jobs_term $ exec_mode_term $ obs_term)
+      $ jobs_term $ obs_term)
 
 let client_cmd =
   let module P = Dfv_serve.Protocol in

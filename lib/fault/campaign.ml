@@ -166,7 +166,7 @@ let progress_category r =
   | v -> verdict_label v
 
 let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
-    ?timeout ?deadline_at ?journal ?pool ?(exec = (`Fork : Pool.exec_mode))
+    ?timeout ?deadline_at ?journal ?pool ?(exec = (`Auto : Pool.exec_mode))
     ?(max_rtl_faults = 16) ?(max_slm_faults = 8) ?(extra_mutants = [])
     ?(progress = false) subject =
   let t_start = Unix.gettimeofday () in
@@ -402,37 +402,35 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
            campaign. *)
         match result_of_json payload with Ok r -> Some r | Error _ -> None))
   in
-  let run_seq () =
-    List.map
-      (fun (i, m) ->
-        match replay i m with
-        | Some r ->
-          prog_step r;
-          r
-        | None ->
-          if Pool.stop_requested () then
-            skeleton m (Unknown { reason = "interrupted"; seconds = 0.0 })
-          else begin
-            let r = run_one (i, m) in
-            journal_result i m r;
-            prog_step r;
-            r
-          end)
-      indexed
+  (* Pool failures fold into the campaign taxonomy: a timed-out worker
+     is an undecided mutant (budget-like), an interrupted one is an
+     undecided mutant that will re-run on resume, and anything else —
+     a crashed worker, or a job that escaped the flow's guard (a stack
+     overflow) — is the crash verdict. *)
+  let fold m = function
+    | Ok r -> r
+    | Error e ->
+      skeleton m
+        (match e with
+        | Dfv_error.Worker_timeout { seconds; _ } ->
+          Unknown { reason = Dfv_error.to_string e; seconds }
+        | Dfv_error.Interrupted _ ->
+          Unknown { reason = Dfv_error.to_string e; seconds = 0.0 }
+        | e -> Crashed e)
   in
-  let run_pooled () =
-    let replayed =
-      List.filter_map
-        (fun (i, m) -> Option.map (fun r -> (i, r)) (replay i m))
+  let run_all () =
+    let replayed, missing =
+      List.partition_map
+        (fun (i, m) ->
+          match replay i m with
+          | Some r -> Left (i, r)
+          | None -> Right (i, m))
         indexed
     in
     List.iter (fun (_, r) -> prog_step r) replayed;
-    let missing =
-      List.filter (fun (i, _) -> not (List.mem_assoc i replayed)) indexed
-    in
     let missing_arr = Array.of_list missing in
     let on_result k outcome =
-      (* Runs in the parent as each job's outcome becomes final: the
+      (* Runs on the caller as each job's outcome becomes final: the
          journal grows with the campaign, so a kill at any instant
          loses at most the jobs still in flight.  On the domains
          executor the calling domain is also a worker, and it collects
@@ -440,57 +438,32 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
          lose what they finished during its current job: at most that
          one job's duration of their work.  All of it re-runs on
          resume. *)
+      let i, m = missing_arr.(k) in
       match outcome with
       | Ok r ->
-        let i, m = missing_arr.(k) in
         journal_result i m r;
         prog_step r
-      | Error (Dfv_error.Interrupted _) -> ()
-      | Error e ->
-        let _, m = missing_arr.(k) in
-        prog_step
-          (skeleton m
-             (match e with
-             | Dfv_error.Worker_timeout { seconds; _ } ->
-               Unknown { reason = Dfv_error.to_string e; seconds }
-             | e -> Crashed e))
+      | Error _ -> prog_step (fold m outcome)
     in
+    let label k = mutant_name (snd missing_arr.(k)) in
     let outcomes =
-      Dfv_par.Dpool.map_auto ~exec ~jobs:(max 1 jobs) ?timeout
-        ~label:(fun k ->
-          if k < Array.length missing_arr then mutant_name (snd missing_arr.(k))
-          else string_of_int k)
-        ~on_result ~encode:result_to_json ~decode:result_of_json run_one
-        missing
-    in
-    (* Pool failures fold into the campaign taxonomy: a timed-out worker
-       is an undecided mutant (budget-like), an interrupted one is an
-       undecided mutant that will re-run on resume, a crashed worker is
-       the crash verdict — the isolation the pool exists to provide. *)
-    let missing_results =
-      List.map2
-        (fun (_, m) outcome ->
-          match outcome with
-          | Ok r -> r
-          | Error (Dfv_error.Worker_timeout { seconds; _ } as e) ->
-            skeleton m (Unknown { reason = Dfv_error.to_string e; seconds })
-          | Error (Dfv_error.Interrupted _ as e) ->
-            skeleton m (Unknown { reason = Dfv_error.to_string e; seconds = 0.0 })
-          | Error e -> skeleton m (Crashed e))
-        missing outcomes
+      if use_pool then
+        Dfv_par.Dpool.map_auto ~exec ~jobs:(max 1 jobs) ?timeout ~label
+          ~on_result ~encode:result_to_json ~decode:result_of_json run_one
+          missing
+      else Dfv_par.Dpool.map ~jobs:1 ~label ~on_result run_one missing
     in
     let by_index = Hashtbl.create 64 in
     List.iter (fun (i, r) -> Hashtbl.replace by_index i r) replayed;
     List.iter2
-      (fun (i, _) r -> Hashtbl.replace by_index i r)
-      missing missing_results;
+      (fun (i, m) o -> Hashtbl.replace by_index i (fold m o))
+      missing outcomes;
     List.map (fun (i, _) -> Hashtbl.find by_index i) indexed
   in
   let results =
     Dfv_obs.Trace.with_span ~cat:"fault"
       ~args:[ ("subject", Dfv_obs.Json.String subject_name) ]
-      "fault.campaign"
-      (fun () -> if use_pool then run_pooled () else run_seq ())
+      "fault.campaign" run_all
   in
   (match reporter with Some p -> Dfv_par.Progress.finish p | None -> ());
   let count p = List.length (List.filter p results) in

@@ -11,16 +11,21 @@
     fatal outcome the campaign exists to find.
 
     Each mutant runs inside {!Dfv_core.Dfv_error.guard} with its own
-    SAT budget, so one crashing or diverging mutant degrades to a
-    recorded verdict and the rest of the campaign still runs.  With
-    [jobs > 1] (or a [timeout]) mutants additionally run in forked
-    worker processes via {!Dfv_par.Pool}, upgrading that isolation to
-    the process level: a segfaulting or OOM-killed mutant becomes
-    [Crashed], a wall-clock-exceeded one becomes [Unknown], and the
-    campaign completes either way.  Verdicts are independent of [jobs]:
-    mutants are enumerated in the parent and each mutant's simulation
-    seed is a pure function of the campaign seed and its index
-    ({!Dfv_par.Pool.job_seed}). *)
+    SAT budget.  Every campaign, in-process or pooled, hands its
+    mutants to an executor ({!Dfv_par.Dpool.map} or
+    {!Dfv_par.Dpool.map_auto}), and each executor's catch-all also
+    contains what the guard re-raises: one crashing or
+    diverging mutant — a stack overflow included — degrades to a
+    recorded verdict and the rest of the campaign still runs.  With a
+    [timeout], under the default [exec], the mutants run in forked
+    worker processes
+    ({!Dfv_par.Pool}), upgrading that isolation to the process level: a
+    segfaulting or OOM-killed mutant becomes [Crashed], a
+    wall-clock-exceeded one becomes [Unknown], and the campaign
+    completes either way.  Verdicts are independent of [jobs] and of
+    the executor: mutants are enumerated in the parent and each
+    mutant's simulation seed is a pure function of the campaign seed
+    and its index ({!Dfv_par.Pool.job_seed}). *)
 
 type subject =
   | Sec_pair of Dfv_core.Pair.t
@@ -104,18 +109,18 @@ val run :
     [max_rtl_faults] (default 16) / [max_slm_faults] (default 8) bound
     the mutant population per subject.
 
-    [jobs] (default 1) bounds concurrent mutant workers; any value
-    above 1 — or any [timeout] — switches to forked per-mutant workers
-    ({!Dfv_par.Pool.map}) with identical verdicts, and [pool] overrides
-    that rule in either direction (the CLI forces [pool:true] for an
-    explicit [--jobs], and [pool:false] on 1-core hosts where forking
-    only adds overhead).  [exec] (default [`Fork]) selects the pooled
-    executor — the fork pool, the in-process domains executor, or
-    adaptive dispatch between them (see {!Dfv_par.Dpool.map_auto};
-    verdicts are byte-identical either way, and [`Domains] with a
-    [timeout] is an error).  [timeout] is the per-mutant wall-clock
-    budget in seconds: an expired mutant is killed and recorded as
-    [Unknown] (budget-like), while a worker that dies is recorded as
+    [jobs] (default 1) bounds concurrent mutant workers.  The campaign
+    is pooled when [jobs > 1] or a [timeout] is given, and [pool]
+    overrides that rule in either direction; an unpooled campaign runs
+    its mutants in order on the calling domain ({!Dfv_par.Dpool.map} at
+    one worker).  [exec] (default [`Auto]) selects the pooled executor
+    through {!Dfv_par.Dpool.map_auto}: under [`Auto] a [timeout] runs
+    the mutants in forked workers and everything else on in-process
+    domains; [`Fork] and [`Domains] force one executor (verdicts are
+    byte-identical either way, and [`Domains] with a [timeout] is an
+    error).  [timeout] is the per-mutant wall-clock budget in seconds:
+    an expired mutant is killed and recorded as [Unknown]
+    (budget-like), while a worker that dies is recorded as
     [Crashed].
 
     [journal] makes the campaign durable: each completed mutant verdict
@@ -134,8 +139,9 @@ val run :
     in [r_shed]) instead of the campaign dying.
 
     If {!Dfv_par.Pool.request_stop} fires (the CLI's SIGINT/SIGTERM
-    handlers), remaining mutants are marked [Unknown "interrupted"]
-    without running and the campaign returns promptly.
+    handlers), remaining mutants are marked [Unknown] ("interrupted
+    before <mutant> completed (resumable)") without running and the
+    campaign returns promptly.
 
     [progress] (default false) drives a live {!Dfv_par.Progress} line
     on stderr — completion, rate, ETA, time to [deadline_at], and

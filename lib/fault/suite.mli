@@ -31,8 +31,9 @@ val run :
 (** Run the campaigns ([designs] defaults to all of {!names}; raises
     [Failure] on an unknown name).  [jobs]/[timeout]/[pool] select the
     per-mutant worker pool inside each campaign and [exec] (default
-    [`Fork]) which executor backs it (fork processes, in-process
-    domains, or adaptive dispatch — see {!Dfv_par.Dpool.map_auto});
+    [`Auto]: fork processes iff a [timeout] is given, in-process
+    domains otherwise — see {!Dfv_par.Dpool.map_auto}) which executor
+    backs it;
     [journal] makes every campaign durable/resumable, [deadline]
     (seconds, one budget across the whole suite) arms the degradation
     sentinel, and [progress] renders a live per-campaign progress line

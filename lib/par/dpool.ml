@@ -13,9 +13,7 @@ let m_interrupted = Metrics.counter "pool.interrupted"
    [Unix.fork] is forbidden for the rest of its life — even after every
    spawned domain has been joined (the runtime refuses with "Unix.fork
    may not be called while other domains were created").  The flag flips
-   the first time [run] spawns a worker and never flips back; adaptive
-   dispatch consults it so [`Auto] can never route a later workload to
-   the fork pool after an earlier one ran on domains. *)
+   the first time [run] spawns a worker and never flips back. *)
 let domains_used = Atomic.make false
 let fork_available () = not (Atomic.get domains_used)
 
@@ -103,10 +101,18 @@ let take q ~spawned ~wait =
 
 (* --- worker side -------------------------------------------------------- *)
 
-(* One job on a worker domain: isolate all three observability sinks so
-   the job records a clean delta (the in-process analogue of the fork
-   child's reset-then-ship), run the job under the error taxonomy's
-   guard, snapshot, release. *)
+(* A job's containment: the error taxonomy's guard, plus a catch-all
+   for what the guard re-raises ([Stack_overflow], [Out_of_memory],
+   [Sys.Break]), so one job can never end the map — the same
+   containment as the fork child's. *)
+let contain f x =
+  match Dfv_error.guard (fun () -> f x) with
+  | o -> o
+  | exception e -> Error (Dfv_error.Internal (Printexc.to_string e))
+
+(* One job beside other workers: isolate all three observability sinks
+   so the job records a clean delta (the in-process analogue of the fork
+   child's reset-then-ship), run it contained, snapshot, release. *)
 let run_job f x =
   Metrics.isolate_domain ();
   Trace.isolate_domain ();
@@ -117,11 +123,7 @@ let run_job f x =
       Trace.release_domain ();
       Coverage.release_domain ())
     (fun () ->
-      let outcome =
-        match Dfv_error.guard (fun () -> f x) with
-        | o -> o
-        | exception e -> Error (Dfv_error.Internal (Printexc.to_string e))
-      in
+      let outcome = contain f x in
       ( outcome,
         Json.Obj
           [ ("metrics", Metrics.domain_snapshot ());
@@ -137,15 +139,30 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   let outcomes : r Pool.outcome option array = Array.make n None in
-  if n > 0 then begin
-    (* Domains beyond the core count only contend with each other, so
-       concurrency is clamped to the host — unlike the fork pool, where
-       [jobs] is taken literally.  The calling domain is worker 0, so
-       [w] workers take [w - 1] spawned domains: no domain sits parked
-       while others work, and every stop-the-world collection meets
-       only domains that are running.  Verdicts cannot tell the
-       difference; only wall-clock can. *)
-    let w = max 1 (min (min jobs n) (Pool.cores ())) in
+  (* Domains beyond the core count only contend with each other, so
+     concurrency is clamped to the host — unlike the fork pool, where
+     [jobs] is taken literally.  The calling domain is worker 0, so [w]
+     workers take [w - 1] spawned domains: no domain sits parked while
+     others work, and every stop-the-world collection meets only domains
+     that are running.  Verdicts cannot tell the difference; only
+     wall-clock can. *)
+  let w = max 1 (min (min jobs n) (Pool.cores ())) in
+  if w = 1 then begin
+    (* One worker is the caller alone, so its jobs run in order on this
+       domain and record straight into the process sinks, spans nested
+       under the caller's open span: a sequential loop has no delta to
+       isolate, ship or merge. *)
+    let rec loop j =
+      if j < n && not (Pool.stop_requested ()) then begin
+        let o = contain f inputs.(j) in
+        outcomes.(j) <- Some o;
+        (match on_result with Some notify -> notify j o | None -> ());
+        loop (j + 1)
+      end
+    in
+    loop 0
+  end
+  else begin
     (* The calling domain owns the global sinks: it merges each job's
        telemetry and fires [on_result] in the order it collects
        results, so callers see the fork parent's delivery discipline. *)
@@ -206,7 +223,7 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
       loop ()
     in
     let spawned = w - 1 in
-    if spawned > 0 then Atomic.set domains_used true;
+    Atomic.set domains_used true;
     let domains =
       Array.init spawned (fun i ->
           Domain.spawn (fun () ->
@@ -229,100 +246,37 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
       ()
     done;
     Array.iter Domain.join domains;
-    Metrics.add m_steals (Array.fold_left ( + ) 0 steals);
-    if Pool.stop_requested () then
-      Array.iter
-        (fun o -> if o = None then Metrics.incr m_interrupted)
-        outcomes
+    Metrics.add m_steals (Array.fold_left ( + ) 0 steals)
   end;
+  if Pool.stop_requested () then
+    Array.iter (fun o -> if o = None then Metrics.incr m_interrupted) outcomes;
   outcomes
 
 let map ?jobs ?label ?on_result f inputs =
   run ?jobs ?on_result f inputs |> Pool.map_outcomes ?label
 
-(* --- adaptive dispatch -------------------------------------------------- *)
+(* --- dispatch ------------------------------------------------------------ *)
 
-(* Below this measured first-job cost, fork + pipe overhead dominates
-   and the domains executor wins; above it, process isolation is cheap
-   relative to the work and fork keeps its crash/timeout guarantees. *)
 let short_job_threshold = 0.25
 
-let note = function
-  | `Fork -> Metrics.incr m_exec_fork
-  | `Domains -> Metrics.incr m_exec_domains
-
-(* Static policy, applied before any probe: a timeout needs preemptive
-   kill (fork only); otherwise a single core means fork can only lose
-   (same serial work plus fork + serialization per job), and a process
-   that has spawned domains can no longer fork (the one-way door above).
-   [None] leaves the choice to the caller's measurement or default. *)
-let choose_static ~timeout =
-  match timeout with
-  | Some _ -> Some `Fork
-  | None ->
-    if Pool.cores () = 1 || not (fork_available ()) then Some `Domains
-    else None
-
-let require_no_timeout timeout =
-  match timeout with
-  | Some _ ->
+let map_auto ?jobs ?timeout ?label ?on_result ~(exec : Pool.exec_mode)
+    ~encode ~decode f inputs =
+  let fork () =
+    Pool.map ?jobs ?timeout ?label ?on_result ~encode ~decode f inputs
+  in
+  let domains () = map ?jobs ?label ?on_result f inputs in
+  (* The one rule under [`Auto]: only the fork pool can kill a job, so a
+     timeout forks; everything else runs on domains. *)
+  match (exec, timeout) with
+  | `Fork, _ -> fork ()
+  | `Domains, Some _ ->
     invalid_arg
       "Dpool: per-job timeouts require the fork executor (a domain \
        cannot be killed preemptively)"
-  | None -> ()
-
-let map_auto (type a r) ?jobs ?timeout ?label ?on_result
-    ~(exec : Pool.exec_mode) ~(encode : r -> Json.t)
-    ~(decode : Json.t -> (r, string) result) (f : a -> r) (inputs : a list) :
-    r Pool.outcome list =
-  let fork ?label ?on_result inputs =
-    Pool.map ?jobs ?timeout ?label ?on_result ~encode ~decode f inputs
-  in
-  let domains ?label ?on_result inputs = map ?jobs ?label ?on_result f inputs in
-  match exec with
-  | `Fork -> fork ?label ?on_result inputs
-  | `Domains ->
-    require_no_timeout timeout;
-    domains ?label ?on_result inputs
-  | `Auto -> (
-    match choose_static ~timeout with
-    | Some m ->
-      note m;
-      (match m with
-      | `Fork -> fork ?label ?on_result inputs
-      | `Domains -> domains ?label ?on_result inputs)
-    | None -> (
-      (* Measured probe: run job 0 inline (on this domain, no isolation
-         — its telemetry lands in the global sinks directly, which is
-         what merging would do anyway) and time it; the remaining jobs
-         go to whichever executor the measured cost favours, with
-         indices shifted so labels, seeds and [on_result] still see the
-         original positions. *)
-      match inputs with
-      | [] -> []
-      | x0 :: rest ->
-        let t0 = Unix.gettimeofday () in
-        let o0 =
-          match Dfv_error.guard (fun () -> f x0) with
-          | o -> o
-          | exception e -> Error (Dfv_error.Internal (Printexc.to_string e))
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (match on_result with Some notify -> notify 0 o0 | None -> ());
-        let shifted_notify =
-          Option.map (fun notify i o -> notify (i + 1) o) on_result
-        in
-        let shifted_label = Option.map (fun l i -> l (i + 1)) label in
-        let m =
-          if dt <= short_job_threshold || not (fork_available ()) then
-            `Domains
-          else `Fork
-        in
-        note m;
-        let rest_outcomes =
-          match m with
-          | `Domains ->
-            domains ?label:shifted_label ?on_result:shifted_notify rest
-          | `Fork -> fork ?label:shifted_label ?on_result:shifted_notify rest
-        in
-        o0 :: rest_outcomes))
+  | `Domains, None -> domains ()
+  | `Auto, Some _ ->
+    Metrics.incr m_exec_fork;
+    fork ()
+  | `Auto, None ->
+    Metrics.incr m_exec_domains;
+    domains ()

@@ -1,5 +1,5 @@
 (** An in-process work-stealing executor on OCaml 5 domains, plus the
-    adaptive dispatcher that picks between it and the fork {!Pool}.
+    dispatcher that picks between it and the fork {!Pool}.
 
     The fork pool buys crash isolation and preemptive timeouts at the
     price of a [fork], a pipe, and JSON serialization {e per job} — a
@@ -28,10 +28,12 @@
     collects results: its own at once, the other workers' between its
     own jobs, and whatever is still running once its deque and the
     steals run dry.  [on_result] therefore always runs on the calling
-    domain, as in the fork parent.  A one-worker map is the zero-spawn
-    case of the same loop: its jobs run on the calling domain, no
-    domain is started, the runtime stays in single-domain mode and the
-    fork door below stays open.
+    domain, as in the fork parent.
+
+    A one-worker map (one job, [jobs = 1], or one core) is a plain loop
+    on the caller: jobs run in input order, no domain is started, the
+    runtime stays in single-domain mode and the fork door below stays
+    open.
 
     {2 Determinism}
 
@@ -42,42 +44,46 @@
 
     {2 Telemetry and isolation}
 
-    Each job, the caller's own included, runs with all three
-    {!Dfv_obs} sinks domain-isolated ({!Dfv_obs.Metrics.isolate_domain}
-    and friends), so its metrics, spans and coverage are a clean delta,
-    handed to the calling domain as
-    the same [{"metrics";"trace";"coverage"}] payload the fork protocol
-    uses and merged through {!Pool.merge_telemetry} — trace lanes are
-    tagged ["dfv domain N"] instead of ["dfv worker <pid>"].
+    With two or more workers, each job, the caller's own included, runs
+    with all three {!Dfv_obs} sinks domain-isolated
+    ({!Dfv_obs.Metrics.isolate_domain} and friends), so its metrics,
+    spans and coverage are a clean delta, handed to the calling domain
+    as the same [{"metrics";"trace";"coverage"}] payload the fork
+    protocol uses and merged through {!Pool.merge_telemetry} — trace
+    lanes are tagged ["dfv domain N"] instead of ["dfv worker <pid>"].
+    A one-worker map isolates nothing: its jobs record straight into the
+    process sinks, their spans nest under the caller's open span, and
+    it ships no telemetry record.  Merged totals are the same either
+    way.
 
     {2 What domains do not give you}
 
     No crash isolation: a segfaulting C stub or an OOM kill takes the
-    whole process down (exceptions, including stack overflow mapped by
-    {!Dfv_core.Dfv_error.guard}, are contained as [Error] outcomes).
-    No preemptive timeout: a domain cannot be killed, so there is no
-    [?timeout] here, and {!Pool.request_stop} is cooperative at job
-    granularity — in-flight jobs finish, undealt jobs are never
-    started.  Workloads needing either property belong on the fork
-    pool; [`Auto] dispatch routes them there.  For the same reason there
-    is no race here: a race on domains would wait for its losing job,
-    so {!Pool.race} is the only one.
+    whole process down.  Exceptions are contained as [Error] outcomes:
+    {!Dfv_core.Dfv_error.guard} maps the taxonomy's, and a catch-all
+    turns what it re-raises ([Stack_overflow], [Out_of_memory]) into
+    [Internal], as the fork child does.  No preemptive timeout: a
+    domain cannot be killed, so there is no [?timeout] here, and
+    {!Pool.request_stop} is cooperative at job granularity — in-flight
+    jobs finish, undealt jobs are never started.  Workloads needing a
+    timeout belong on the fork pool; [`Auto] dispatch routes them
+    there.  For the same reason there is no race here: a race on
+    domains would wait for its losing job, so {!Pool.race} is the only
+    one.
 
     {2 The fork/domains one-way door}
 
     OCaml 5 forbids [Unix.fork] in any process that has ever spawned a
     domain, even after every domain has been joined.  Running this
-    executor therefore {e permanently} closes the fork pool for the
-    process ({!fork_available} reports the door's state).  [`Auto]
-    dispatch respects it — once a workload has run on domains, every
-    later [`Auto] decision without a timeout resolves to domains,
-    unprobed — but explicitly mixing [`Domains] then [`Fork] in
-    one process is a caller error that the runtime rejects.  Order
-    fork-pool work before domains work (the bench and test suites do),
-    or pick one executor per process.  Only a real spawn closes the
-    door: a map that resolves to one worker (on a 1-core host, or with
-    one input) spawns nothing, so 1-core hosts can alternate executors
-    freely. *)
+    executor with two or more workers therefore {e permanently} closes
+    the fork pool for the process ({!fork_available} reports the
+    door's state).  Dispatch does not consult it: a call with a timeout
+    forks however the process began, so mixing domains work and then
+    fork work in one process is a caller error that the runtime
+    rejects.  Order fork-pool work before domains work (the bench and
+    test suites do), or pick one executor per process.  Only a real
+    spawn closes the door: a one-worker map spawns nothing, so 1-core
+    hosts can alternate executors freely. *)
 
 val fork_available : unit -> bool
 (** [true] until the first worker domain is spawned in this process;
@@ -96,14 +102,17 @@ val map :
     meaning as in {!Pool.map} ([jobs] is additionally clamped to
     {!Pool.cores}, and the calling domain is one of the workers).  A
     job that raises is recorded as [Error] via
-    {!Dfv_core.Dfv_error.guard}.  If {!Pool.request_stop} fires
-    mid-run, jobs not yet started come back [Error (Interrupted _)]. *)
+    {!Dfv_core.Dfv_error.guard}, or as [Internal] for what the guard
+    re-raises.  If {!Pool.request_stop} fires mid-run, jobs not yet
+    started come back [Error (Interrupted _)]. *)
 
-(** {2 Adaptive dispatch} *)
+(** {2 Dispatch} *)
 
 val short_job_threshold : float
-(** Measured first-job cost (seconds) at or below which [`Auto]
-    dispatch prefers domains. *)
+(** A job length in seconds (0.25).  Dispatch does not read it:
+    perfbench reports the share of mutants shorter than this as
+    [fault.short_job_frac], the jobs on which a per-job fork round trip
+    is a real share of the work. *)
 
 val map_auto :
   ?jobs:int ->
@@ -119,12 +128,10 @@ val map_auto :
 (** {!Pool.map} or {!map}, selected by [exec].  [`Fork] and [`Domains]
     dispatch directly ([`Domains] with a [timeout] is an
     [Invalid_argument] — a domain cannot be killed).  [`Auto] applies
-    the policy: a [timeout] forces fork; a single-core host, or a
-    process where {!fork_available} is false, takes domains without
-    probing; otherwise job 0 runs inline as a timed probe and the rest
-    go to domains iff it finished within {!short_job_threshold}.  The
-    probe's outcome is returned at index 0 as usual (without fork
-    isolation — the one job [`Auto] runs natively).  Auto decisions are
-    counted as [pool.exec.fork] / [pool.exec.domains]; explicit modes
-    are not, so telemetry parity across executors holds.
-    [encode]/[decode] are unused on the domains path. *)
+    one rule that reads the call alone: a [timeout] goes to the fork
+    pool, the only executor that can kill a job, and every other call
+    goes to {!map}.  No job runs and nothing is timed before the
+    choice.  Auto decisions are counted as [pool.exec.fork] /
+    [pool.exec.domains]; explicit modes are not, so telemetry parity
+    across executors holds.  [encode]/[decode] are unused on the
+    domains path. *)

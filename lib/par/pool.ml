@@ -23,8 +23,8 @@ let reset_stop () = Atomic.set stop_flag false
 (* --- executor selection ------------------------------------------------ *)
 
 (* The mode type lives here (not in {!Dpool}) so both executors and
-   every caller can name it without a dependency cycle; the adaptive
-   dispatch logic itself lives in {!Dpool}, which can see both. *)
+   every caller can name it without a dependency cycle; the dispatch
+   rule itself lives in {!Dpool}, which can see both. *)
 type exec_mode = [ `Fork | `Domains | `Auto ]
 
 let exec_mode_to_string = function

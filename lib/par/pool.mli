@@ -73,9 +73,9 @@ type exec_mode = [ `Fork | `Domains | `Auto ]
 (** Which executor runs a parallel workload: this fork pool ([`Fork],
     crash isolation and preemptive timeouts), the in-process
     {!Dpool} ([`Domains], no fork or pipe cost — wins on short jobs),
-    or adaptive selection ([`Auto], see {!Dpool.map_auto}).  The
-    type lives here so callers can name it without depending on the
-    domains executor. *)
+    or the one rule ([`Auto]: the fork pool iff the call has a
+    timeout, see {!Dpool.map_auto}).  The type lives here so callers
+    can name it without depending on the domains executor. *)
 
 val exec_mode_to_string : exec_mode -> string
 

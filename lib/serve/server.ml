@@ -22,7 +22,6 @@ type config = {
   capacity : int;
   store : string option;
   jobs : int;
-  exec : Pool.exec_mode;
   summary : string option;
   log_limit : int;
 }
@@ -33,7 +32,6 @@ let default_config ~socket =
     capacity = 256;
     store = None;
     jobs = Pool.cores ();
-    exec = `Auto;
     summary = None;
     log_limit = 4096;
   }
@@ -391,7 +389,7 @@ let serve_batch st batch =
         ~args:[ ("solves", Json.Int (List.length keys)) ]
         "serve.solve_batch"
         (fun () ->
-          Dpool.map_auto ~jobs:st.cfg.jobs ~exec:st.cfg.exec
+          Dpool.map_auto ~jobs:st.cfg.jobs ~exec:`Auto
             ~label:(fun i -> "serve:" ^ (rep (List.nth keys i)).p_name)
             ~encode:solved_to_json
             ~decode:solved_of_json
@@ -463,6 +461,10 @@ let run ~resolve cfg =
     try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
     with Invalid_argument _ | Sys_error _ -> None
   in
+  (* One read buffer for the daemon's life: each read is copied out
+     before the next, and a fresh 64 KiB buffer per read is a major-heap
+     allocation. *)
+  let buf = Bytes.create 65536 in
   while !running && not (Pool.stop_requested ()) do
     let fds = listener :: List.map (fun c -> c.fd) !clients in
     let readable, _, _ =
@@ -480,7 +482,6 @@ let run ~resolve cfg =
     List.iter
       (fun c ->
         if (not c.closed) && List.mem c.fd readable then begin
-          let buf = Bytes.create 65536 in
           let n =
             try Unix.read c.fd buf 0 (Bytes.length buf)
             with Unix.Unix_error _ -> 0

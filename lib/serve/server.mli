@@ -14,9 +14,10 @@
     structural fingerprint, probed against the cache (hits answered
     immediately), and the misses — {e coalesced} so concurrent
     duplicates cost one solve — are dispatched as one
-    {!Dfv_par.Dpool.map_auto} batch onto the configured executor.
-    Campaigns inside a worker run with their own per-mutant pool
-    disabled; the server's executor is the only layer of parallelism.
+    {!Dfv_par.Dpool.map_auto} batch, which with no timeout runs on
+    in-process domains.  Campaigns inside a worker run with their own
+    per-mutant pool disabled; the server's executor is the only layer
+    of parallelism.
 
     Successful verdicts enter the cache (and its optional disk store,
     journaled before the response is written); errors are returned but
@@ -38,14 +39,13 @@ type config = {
   capacity : int;  (** in-memory LRU capacity *)
   store : string option;  (** on-disk journal store path *)
   jobs : int;  (** solver batch parallelism *)
-  exec : Dfv_par.Pool.exec_mode;
   summary : string option;  (** summary artifact path, written on exit *)
   log_limit : int;  (** request-log entries kept for the summary *)
 }
 
 val default_config : socket:string -> config
-(** capacity 256, no store, [jobs = Pool.cores ()], [`Auto] executor,
-    no summary, log limit 4096. *)
+(** capacity 256, no store, [jobs = Pool.cores ()], no summary, log
+    limit 4096. *)
 
 val run :
   resolve:(design:string -> bug:string -> (Dfv_core.Pair.t, string) result) ->

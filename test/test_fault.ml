@@ -161,8 +161,8 @@ let test_pooled_killed_worker () =
       { cm_name = "boom"; cm_run = (fun () -> failwith "boom") }
   in
   let r =
-    Campaign.run ?budget ~jobs:2 ~max_rtl_faults:4 ~max_slm_faults:2
-      ~extra_mutants:[ kill_self; boom ]
+    Campaign.run ?budget ~jobs:2 ~exec:`Fork ~max_rtl_faults:4
+      ~max_slm_faults:2 ~extra_mutants:[ kill_self; boom ]
       (Campaign.Sec_pair (alu_pair ()))
   in
   check_int "both degraded to Crashed" 2 r.Campaign.r_crashed;
@@ -182,6 +182,36 @@ let test_pooled_killed_worker () =
   | v ->
     Alcotest.failf "boom should be Crashed (Internal), got %s"
       (Campaign.verdict_label v)
+
+(* The flow's guard re-raises [Stack_overflow]; every executor's
+   catch-all must still contain it, so a mutant that overflows is
+   [Crashed (Internal _)] and the campaign completes on each path. *)
+let check_stack_overflow_contained ?jobs ?exec leg =
+  let deep =
+    Campaign.Custom_mutant
+      { cm_name = "deep"; cm_run = (fun () -> raise Stack_overflow) }
+  in
+  let r =
+    Campaign.run ?budget ?jobs ?exec ~max_rtl_faults:4 ~max_slm_faults:2
+      ~extra_mutants:[ deep ]
+      (Campaign.Sec_pair (alu_pair ()))
+  in
+  check_int (leg ^ ": one crash") 1 r.Campaign.r_crashed;
+  check_int
+    (leg ^ ": every other mutant detected")
+    (r.Campaign.r_total - 1) r.Campaign.r_detected;
+  match
+    (List.find (fun m -> m.Campaign.m_name = "deep") r.Campaign.r_results)
+      .Campaign.verdict
+  with
+  | Campaign.Crashed (Dfv_core.Dfv_error.Internal _) -> ()
+  | v ->
+    Alcotest.failf "%s: deep should be Crashed (Internal), got %s" leg
+      (Campaign.verdict_label v)
+
+let test_stack_overflow_contained () =
+  check_stack_overflow_contained ~jobs:1 "in-process";
+  check_stack_overflow_contained ~jobs:2 ~exec:`Fork "fork"
 
 (* A wedged mutant under a wall-clock budget is a justified Unknown
    (budget-like), never a Crashed: the distinction feeds the gate, which
@@ -380,9 +410,14 @@ let test_campaign_resume_on_domains () =
   check_int "total preserved" reference.Campaign.r_total
     resumed.Campaign.r_total
 
+let test_stack_overflow_contained_on_domains () =
+  check_stack_overflow_contained ~jobs:2 ~exec:`Domains "domains"
+
 let domains_suite =
   [ Alcotest.test_case "domains campaign journal resume is byte-identical"
-      `Quick test_campaign_resume_on_domains ]
+      `Quick test_campaign_resume_on_domains;
+    Alcotest.test_case "stack overflow is Crashed on domains" `Quick
+      test_stack_overflow_contained_on_domains ]
 
 let suite =
   [ Alcotest.test_case "enumerate rtl faults" `Quick test_enumerate_rtl;
@@ -394,6 +429,8 @@ let suite =
       test_campaign_survives_crashing_mutant;
     Alcotest.test_case "pooled campaign: killed worker is Crashed" `Quick
       test_pooled_killed_worker;
+    Alcotest.test_case "stack overflow is Crashed in-process and forked"
+      `Quick test_stack_overflow_contained;
     Alcotest.test_case "pooled campaign: timeout is Unknown" `Slow
       test_pooled_timeout_is_unknown;
     Alcotest.test_case "json report" `Quick test_json_report;

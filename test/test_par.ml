@@ -595,8 +595,8 @@ let test_telemetry_journal_resume_no_double_count () =
       | Error e -> Alcotest.failf "journal: %s" e
     in
     Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
-    Dfv_fault.Campaign.run ~seed:0 ~jobs:2 ~pool:true ~max_rtl_faults:4
-      ~max_slm_faults:2 ~journal:j
+    Dfv_fault.Campaign.run ~seed:0 ~jobs:2 ~pool:true ~exec:`Fork
+      ~max_rtl_faults:4 ~max_slm_faults:2 ~journal:j
       (Dfv_fault.Campaign.Sec_pair pair)
   in
   Metrics.reset ();
@@ -697,17 +697,25 @@ let dpool_telemetry jobs =
   (List.map ok out, totals, Json.to_string c, spans)
 
 let test_dpool_telemetry_parity () =
-  let out1, totals1, c1, spans1 = dpool_telemetry 1 in
-  let shipped1 =
+  let shipped () =
     Metrics.counter_value (Metrics.counter "pool.telemetry.shipped")
   in
+  let out1, totals1, c1, spans1 = dpool_telemetry 1 in
+  let shipped1 = shipped () in
   let out4, totals4, c4, spans4 = dpool_telemetry 4 in
+  let shipped4 = shipped () in
   Alcotest.(check (list int)) "verdicts invariant under jobs" out1 out4;
   Alcotest.(check string) "merged coverage byte-identical" c1 c4;
-  Alcotest.(check int) "every domain span absorbed (jobs=1)" 6 spans1;
+  Alcotest.(check int) "every span recorded (jobs=1)" 6 spans1;
   Alcotest.(check int) "every domain span absorbed (jobs=4)" 6 spans4;
+  (* A one-worker map records straight into the process sinks, and on
+     one core a jobs=4 map is a one-worker map too; with two or more
+     workers every job ships one record. *)
+  Alcotest.(check int) "one-worker map ships nothing" 0 shipped1;
   Alcotest.(check int)
-    "one telemetry record per job" (List.length telemetry_inputs) shipped1;
+    "one telemetry record per job with two or more workers"
+    (if min 4 (Pool.cores ()) > 1 then List.length telemetry_inputs else 0)
+    shipped4;
   (* In-process sequential reference: merged totals must coincide. *)
   Metrics.reset ();
   Coverage.clear ();
@@ -725,6 +733,43 @@ let test_dpool_telemetry_parity () =
   Alcotest.(check string)
     "merged totals equal sequential (jobs=4)" (pp3 totals_seq) (pp3 totals4);
   Coverage.clear ()
+
+(* A one-worker map is a loop on the caller: every job runs on the
+   calling domain, and its spans nest under the caller's open span
+   instead of arriving on a lane of their own. *)
+let test_dpool_one_worker_inline () =
+  let caller = (Domain.self () :> int) in
+  Metrics.reset ();
+  Trace.enable ();
+  let ran_on =
+    Trace.with_span "caller" (fun () ->
+        Dpool.map ~jobs:1
+          (fun _ ->
+            Trace.with_span "par.inline" (fun () -> (Domain.self () :> int)))
+          [ 0; 1; 2; 3 ])
+    |> List.map ok
+  in
+  let events = Trace.events () in
+  Trace.disable ();
+  Alcotest.(check (list int))
+    "every job ran on the calling domain" [ caller; caller; caller; caller ]
+    ran_on;
+  let _, c_ts, c_dur, c_depth =
+    List.find (fun (n, _, _, _) -> n = "caller") events
+  in
+  let inner = List.filter (fun (n, _, _, _) -> n = "par.inline") events in
+  Alcotest.(check int) "every job span recorded" 4 (List.length inner);
+  List.iter
+    (fun (_, ts, dur, depth) ->
+      Alcotest.(check int) "nested one level under the caller" (c_depth + 1)
+        depth;
+      Alcotest.(check bool)
+        "inside the caller's span" true
+        (ts >= c_ts && ts +. dur <= c_ts +. c_dur))
+    inner;
+  Alcotest.(check int)
+    "nothing shipped" 0
+    (Metrics.counter_value (Metrics.counter "pool.telemetry.shipped"))
 
 (* --- cross-executor verdict determinism -------------------------------- *)
 
@@ -772,16 +817,17 @@ let test_cross_executor_domains_parity () =
     [ ("domains", `Domains, 1); ("domains", `Domains, 2);
       ("domains", `Domains, 4); ("auto", `Auto, 3) ]
 
-(* --- adaptive dispatch -------------------------------------------------- *)
+(* --- dispatch ------------------------------------------------------------ *)
 
 let exec_counters () =
   ( Metrics.counter_value (Metrics.counter "pool.exec.fork"),
     Metrics.counter_value (Metrics.counter "pool.exec.domains") )
 
-(* `Auto resolves to exactly one executor per call, counted only under
-   `Auto so explicit-mode runs keep byte-identical telemetry.  Fork legs
-   run first inside the test: on a multicore host the domains legs spawn
-   worker domains and close the fork door for the process. *)
+(* `Auto resolves to exactly one executor per call, read from the call
+   alone: fork iff it has a timeout, domains otherwise, counted only
+   under `Auto so explicit-mode runs keep byte-identical telemetry.
+   Fork legs run first inside the test: on a multicore host the domains
+   legs spawn worker domains and close the fork door for the process. *)
 let test_map_auto_dispatch () =
   let inputs = [ 1; 2; 3; 4 ] in
   let expected = List.map (fun x -> x * 2) inputs in
@@ -797,47 +843,32 @@ let test_map_auto_dispatch () =
   let f0, d0 = exec_counters () in
   Alcotest.(check (list int))
     "timeout verdicts" expected (run ~timeout:30.0 `Auto inputs);
-  let f1, _ = exec_counters () in
+  let f1, d1 = exec_counters () in
   Alcotest.(check int) "timeout routed to fork" (f0 + 1) f1;
+  Alcotest.(check int) "timeout: no domains" d0 d1;
   Alcotest.(check (list int)) "explicit fork verdicts" expected (run `Fork inputs);
   let f2, d2 = exec_counters () in
   Alcotest.(check int) "explicit fork uncounted" f1 f2;
   Alcotest.(check int) "no domains so far" d0 d2;
-  (* Two short jobs: job 0 is the probe and job 1 runs inline as a
-     one-worker pool, so no domain is spawned and the door stays open —
-     which keeps the serve daemon's small batches off worker domains. *)
+  (* domains legs: the door is still open, and a two-job map without a
+     timeout goes to domains all the same — nothing is probed or timed
+     first. *)
+  Alcotest.(check bool)
+    "door open before the first domains leg" true (Dpool.fork_available ());
   Alcotest.(check (list int)) "two-job verdicts" [ 2; 4 ] (run `Auto [ 1; 2 ]);
   let f3, d3 = exec_counters () in
-  Alcotest.(check int) "short probe routed to domains" (d2 + 1) d3;
-  Alcotest.(check int) "short probe: no fork" f2 f3;
-  Alcotest.(check bool)
-    "two short jobs leave the fork door open" true (Dpool.fork_available ());
-  (* domains legs *)
+  Alcotest.(check int) "no timeout routed to domains" (d2 + 1) d3;
+  Alcotest.(check int) "no timeout: no fork" f2 f3;
   Alcotest.(check (list int))
     "explicit domains verdicts" expected (run `Domains inputs);
   let f4, d4 = exec_counters () in
   Alcotest.(check int) "explicit domains uncounted" d3 d4;
   Alcotest.(check int) "no stray fork dispatch" f3 f4;
-  (* A multicore host has now spawned worker domains, and [`Auto] must
-     take domains without probing.  A probe runs job 0 inline, outside
-     the pool, so it ships no telemetry record; unprobed, all four jobs
-     run in the pool and each ships one.  A 1-core host never spawns a
-     domain and never closes the door; its static rule routes to
-     domains. *)
-  let shipped () =
-    Metrics.counter_value (Metrics.counter "pool.telemetry.shipped")
-  in
-  let s5 = shipped () in
   Alcotest.(check (list int))
     "auto verdicts after the domains legs" expected (run `Auto inputs);
   let f5, d5 = exec_counters () in
-  Alcotest.(check int) "routed to domains" (d4 + 1) d5;
-  Alcotest.(check int) "never to fork" f4 f5;
-  if Dpool.fork_available () then
-    Alcotest.(check int) "door open only on a 1-core host" 1 (Pool.cores ())
-  else
-    Alcotest.(check int)
-      "door closed: job 0 not probed inline" (s5 + 4) (shipped ())
+  Alcotest.(check int) "routed to domains again" (d4 + 1) d5;
+  Alcotest.(check int) "never to fork" f4 f5
 
 (* The calling domain is worker 0: a map holds at most [min jobs cores]
    domains, and all but one of them are spawned.  The jobs sleep so
@@ -952,8 +983,7 @@ let suite =
     Alcotest.test_case "campaign verdicts invariant under fork executor"
       `Quick test_cross_executor_fork_parity ]
 
-(* The adaptive-dispatch case comes first: its fork legs need the fork
-   door still open. *)
+(* The dispatch case comes first: its fork legs need the fork door open. *)
 let domains_suite =
   [ Alcotest.test_case "adaptive dispatch routes, counts, and sticks" `Quick
       test_map_auto_dispatch;
@@ -974,4 +1004,6 @@ let domains_suite =
     Alcotest.test_case "dpool steal counter equals the jobs that moved"
       `Quick test_dpool_steal_count;
     Alcotest.test_case "domains executor rejects a timeout" `Quick
-      test_domains_timeout_rejected ]
+      test_domains_timeout_rejected;
+    Alcotest.test_case "dpool one-worker map runs inline on the caller"
+      `Quick test_dpool_one_worker_inline ]
