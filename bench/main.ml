@@ -59,6 +59,17 @@ let provenance reps =
       ("cores", Int (Dfv_par.Pool.cores ()));
       ("reps", Obj (List.map (fun (leg, n) -> (leg, Int n)) reps)) ]
 
+(* The median of repeated timings, and the artifact field recording
+   it with the range: [{median, min, max}]. *)
+let spread xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  ( a.(n / 2),
+    Dfv_obs.Json.Obj
+      [ ("median", Float a.(n / 2)); ("min", Float a.(0));
+        ("max", Float a.(n - 1)) ] )
+
 let header id title claim =
   Printf.printf "\n==============================================================\n";
   Printf.printf "%s: %s\n" id title;
@@ -537,9 +548,14 @@ let c3 () =
     in
     (rows, List.fold_left (fun acc (_, t, _) -> acc +. t) 0.0 rows)
   in
+  (* One shot of a millisecond leg says little, so each per-block leg
+     runs [reps] times per bug, the two alternating which goes first, and
+     reports its median and range.  The monolithic check, one to two
+     orders of magnitude slower, stays one shot. *)
+  let reps = 5 in
   Printf.printf "  %-14s %14s %15s %16s %22s\n" "planted bug" "monolithic"
     "blocks (fresh)" "blocks (session)" "session reuse";
-  let fresh_grand = ref 0.0 and shared_grand = ref 0.0 in
+  let fresh_grand = Array.make reps 0.0 and shared_grand = Array.make reps 0.0 in
   let c3_rows = ref [] in
   List.iter
     (fun buggy ->
@@ -548,12 +564,34 @@ let c3 () =
         sec_time chain.Image_chain.slm chain.Image_chain.rtl_top
           chain.Image_chain.chain_spec
       in
-      let _, fresh_total = per_block chain in
-      let session = Dfv_sec.Session.create ?budget:!budget_opt () in
-      let rows, shared_total = per_block ~session chain in
-      fresh_grand := !fresh_grand +. fresh_total;
-      shared_grand := !shared_grand +. shared_total;
-      let s = Dfv_sec.Session.stats session in
+      let fresh = ref [] and shared = ref [] in
+      let localized = ref true and stats = ref None in
+      for rep = 0 to reps - 1 do
+        let fresh_leg () =
+          let _, t = per_block chain in
+          fresh := t :: !fresh;
+          fresh_grand.(rep) <- fresh_grand.(rep) +. t
+        in
+        let session_leg () =
+          let session = Dfv_sec.Session.create ?budget:!budget_opt () in
+          let rows, t = per_block ~session chain in
+          shared := t :: !shared;
+          shared_grand.(rep) <- shared_grand.(rep) +. t;
+          localized :=
+            !localized
+            && List.for_all (fun (b, _, v) -> (v = "NEQ") = (b = buggy)) rows;
+          stats := Some (Dfv_sec.Session.stats session)
+        in
+        if rep mod 2 = 0 then (
+          fresh_leg ();
+          session_leg ())
+        else (
+          session_leg ();
+          fresh_leg ())
+      done;
+      let fresh_med, fresh_json = spread !fresh in
+      let shared_med, shared_json = spread !shared in
+      let s = Option.get !stats in
       let reuse_pct =
         let total = s.Dfv_sec.Session.nodes_encoded + s.Dfv_sec.Session.nodes_reused in
         if total = 0 then 0.0
@@ -562,25 +600,22 @@ let c3 () =
           *. float_of_int s.Dfv_sec.Session.nodes_reused
           /. float_of_int total
       in
-      let localized =
-        List.for_all (fun (b, _, v) -> (v = "NEQ") = (b = buggy)) rows
-      in
       c3_rows :=
         Dfv_obs.Json.Obj
           [ ("bug", String (Image_chain.block_name buggy));
             ("monolithic_s", Float mono_t);
-            ("blocks_fresh_s", Float fresh_total);
-            ("blocks_session_s", Float shared_total);
+            ("blocks_fresh_s", fresh_json);
+            ("blocks_session_s", shared_json);
             ("session_reuse_pct", Float reuse_pct);
-            ("localized", Bool localized) ]
+            ("localized", Bool !localized) ]
         :: !c3_rows;
       Printf.printf
         "  %-14s %8.3fs %s %13.3fs %15.3fs %7.1f%% (%d/%d)  %s\n%!"
         (Image_chain.block_name buggy)
-        mono_t mono_v fresh_total shared_total reuse_pct
+        mono_t mono_v fresh_med shared_med reuse_pct
         s.Dfv_sec.Session.nodes_reused
         (s.Dfv_sec.Session.nodes_encoded + s.Dfv_sec.Session.nodes_reused)
-        (if localized then "names the block" else "ambiguous"))
+        (if !localized then "names the block" else "ambiguous"))
     Image_chain.all_blocks;
   let chain = Image_chain.make () in
   let mono_t, mono_v =
@@ -589,21 +624,28 @@ let c3 () =
   in
   Printf.printf "  %-14s %8.3fs %s %s\n" "(clean)" mono_t mono_v
     "               (baseline)";
+  let fresh_total, fresh_json = spread (Array.to_list fresh_grand) in
+  let shared_total, shared_json = spread (Array.to_list shared_grand) in
   Printf.printf
-    "per-block totals across the bug sweep: shared session %.3fs vs fresh %.3fs\n"
-    !shared_grand !fresh_grand;
+    "per-block columns are medians of %d alternating runs; totals across the \
+     bug sweep: shared session %.3fs vs fresh %.3fs\n"
+    reps shared_total fresh_total;
   write_bench "c3"
-    [ ("rows", Dfv_obs.Json.List (List.rev !c3_rows));
-      ("fresh_total_s", Dfv_obs.Json.Float !fresh_grand);
-      ("session_total_s", Dfv_obs.Json.Float !shared_grand) ];
+    [ ( "provenance",
+        provenance
+          [ ("monolithic", 1); ("blocks_fresh", reps); ("blocks_session", reps) ]
+      );
+      ("rows", Dfv_obs.Json.List (List.rev !c3_rows));
+      ("fresh_total_s", fresh_json);
+      ("session_total_s", shared_json) ];
   (* Guard the point of the session layer: sharing the substrate must not
      cost wall-clock vs the seed's fresh-solver-per-block behaviour (the
      slack absorbs timer noise on these millisecond-scale queries). *)
-  if !shared_grand > (!fresh_grand *. 1.5) +. 0.1 then begin
+  if shared_total > (fresh_total *. 1.5) +. 0.1 then begin
     Printf.printf
       "REGRESSION: shared-session per-block SEC (%.3fs) is slower than \
        fresh sessions (%.3fs)\n"
-      !shared_grand !fresh_grand;
+      shared_total fresh_total;
     exit 1
   end;
   print_endline
@@ -828,11 +870,7 @@ let par_speedup () =
     short_pairs := (d_s, s_s, ratio, parity, seq_first) :: !short_pairs
   done;
   let short_pairs = List.rev !short_pairs in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
+  let median xs = fst (spread xs) in
   let short_ratio = median (List.map (fun (_, _, r, _, _) -> r) short_pairs) in
   Printf.printf "  short    median paired speedup %.2fx over %d pairs\n%!"
     short_ratio short_reps;

@@ -135,18 +135,32 @@ module L = Dfv_sat.Lit
 
 type cnf_map = {
   solver : S.t;
-  vars : (int, L.t) Hashtbl.t;
   graph : t;
+  mutable vars : int array;   (* node id -> solver literal, -1 if none *)
+  mutable stack : int array;  (* [encode_cone]'s stack, kept between calls *)
   mutable fresh_nodes : int;  (* nodes Tseitin-encoded by this map *)
   mutable reuse_hits : int;   (* cone visits answered by an existing encoding *)
 }
 
 let sat_lit m l =
-  let v = Hashtbl.find m.vars (l lsr 1) in
+  let id = l lsr 1 in
+  if id >= Array.length m.vars || m.vars.(id) < 0 then raise Not_found;
+  let v = m.vars.(id) in
   if l land 1 = 1 then L.negate v else v
 
 let fresh_encoded m = m.fresh_nodes
 let reuse_hits m = m.reuse_hits
+
+(* [a] itself when it holds [n] slots, else a copy at least twice as
+   long, its new slots set to [fill]. *)
+let ensure a n fill =
+  let len = Array.length a in
+  if len >= n then a
+  else begin
+    let b = Array.make (max n (2 * len)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 let encode_cone m root =
   (* Iterative DFS over the cone of [root]; nodes are numbered in
@@ -154,69 +168,67 @@ let encode_cone m root =
      the encoding restricted to the cone of influence.  A reuse hit is
      any edge of the traversal answered by an existing encoding — a
      shared node inside this cone, or the boundary with cones encoded by
-     earlier queries. *)
+     earlier queries.
+
+     A stack entry is [2 * id] for a visit of node [id] and [2 * id + 1]
+     for an AND's revisit.  The first visit of an AND turns its own entry
+     into the revisit and pushes fanin b, then fanin a on top, so the
+     fanins are encoded first, a's cone before b's.  This order fixes the
+     solver variable of every node. *)
   let g = m.graph and s = m.solver in
-  let seen = Hashtbl.create 64 in
-  let stack = ref [ root lsr 1 ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | id :: rest ->
-      if Hashtbl.mem m.vars id then begin
-        m.reuse_hits <- m.reuse_hits + 1;
-        stack := rest
-      end
-      else begin
-        match g.nodes.(id) with
-        | Const ->
-          Hashtbl.add m.vars id (S.false_lit s);
-          m.fresh_nodes <- m.fresh_nodes + 1;
-          stack := rest
-        | Input _ ->
-          Hashtbl.add m.vars id (L.pos (S.new_var s));
-          m.fresh_nodes <- m.fresh_nodes + 1;
-          stack := rest
-        | And (a, b) when not (Hashtbl.mem seen id) ->
-          (* First visit: count already-encoded children as reuse, push
-             the rest, and come back to build once they are done. *)
-          Hashtbl.add seen id ();
-          let ia = a lsr 1 and ib = b lsr 1 in
-          let need_a = not (Hashtbl.mem m.vars ia) in
-          let need_b = not (Hashtbl.mem m.vars ib) in
-          if not need_a then m.reuse_hits <- m.reuse_hits + 1;
-          if not need_b then m.reuse_hits <- m.reuse_hits + 1;
-          stack :=
-            (if need_a then [ ia ] else [])
-            @ (if need_b then [ ib ] else [])
-            @ !stack
-        | And (a, b) ->
-          (* Revisit: the children are encoded now (they sat above us on
-             the stack). *)
-          let n = L.pos (S.new_var s) in
-          let la = sat_lit m a and lb = sat_lit m b in
-          (* n <-> la & lb *)
-          S.add_clause s [ L.negate n; la ];
-          S.add_clause s [ L.negate n; lb ];
-          S.add_clause s [ n; L.negate la; L.negate lb ];
-          Hashtbl.add m.vars id n;
-          m.fresh_nodes <- m.fresh_nodes + 1;
-          stack := rest
-      end
+  m.vars <- ensure m.vars g.n (-1);
+  let vars = m.vars in
+  let sp = ref 0 in
+  let push e =
+    if !sp = Array.length m.stack then m.stack <- ensure m.stack (!sp + 1) 0;
+    m.stack.(!sp) <- e;
+    incr sp
+  in
+  push (2 * (root lsr 1));
+  while !sp > 0 do
+    decr sp;
+    let e = m.stack.(!sp) in
+    let id = e lsr 1 and revisit = e land 1 = 1 in
+    match g.nodes.(id) with
+    | _ when (not revisit) && vars.(id) >= 0 ->
+      m.reuse_hits <- m.reuse_hits + 1
+    | Const ->
+      vars.(id) <- S.false_lit s;
+      m.fresh_nodes <- m.fresh_nodes + 1
+    | Input _ ->
+      vars.(id) <- L.pos (S.new_var s);
+      m.fresh_nodes <- m.fresh_nodes + 1
+    | And (a, b) when not revisit ->
+      (* First visit: count already-encoded fanins as reuse, push the
+         rest, and come back to build once they are done. *)
+      push (e lor 1);
+      let ia = a lsr 1 and ib = b lsr 1 in
+      if vars.(ib) >= 0 then m.reuse_hits <- m.reuse_hits + 1
+      else push (2 * ib);
+      if vars.(ia) >= 0 then m.reuse_hits <- m.reuse_hits + 1
+      else push (2 * ia)
+    | And (a, b) ->
+      (* Revisit: the fanins are encoded now (they sat above us on the
+         stack). *)
+      let n = L.pos (S.new_var s) in
+      let la = sat_lit m a and lb = sat_lit m b in
+      (* n <-> la & lb *)
+      S.add_clause s [ L.negate n; la ];
+      S.add_clause s [ L.negate n; lb ];
+      S.add_clause s [ n; L.negate la; L.negate lb ];
+      vars.(id) <- n;
+      m.fresh_nodes <- m.fresh_nodes + 1
   done
 
 let encoder g s =
   {
     solver = s;
-    vars = Hashtbl.create 1024;
     graph = g;
+    vars = [||];
+    stack = [||];
     fresh_nodes = 0;
     reuse_hits = 0;
   }
-
-let to_solver g s roots =
-  let m = encoder g s in
-  List.iter (encode_cone m) roots;
-  m
 
 let encode m l =
   encode_cone m l;
@@ -227,13 +239,11 @@ let encode m l =
 let witness_of_model m =
   let g = m.graph in
   let w = Array.make g.ninputs false in
-  for id = 0 to g.n - 1 do
+  (* An input outside the encoded cones is a don't-care: it stays false. *)
+  for id = 0 to min g.n (Array.length m.vars) - 1 do
     match g.nodes.(id) with
-    | Input k ->
-      (match Hashtbl.find_opt m.vars id with
-      | Some sl -> w.(k) <- S.value m.solver sl
-      | None -> () (* input outside the encoded cone: don't-care *))
-    | Const | And _ -> ()
+    | Input k when m.vars.(id) >= 0 -> w.(k) <- S.value m.solver m.vars.(id)
+    | Const | Input _ | And _ -> ()
   done;
   w
 
@@ -241,9 +251,9 @@ let check_sat ?(assumptions = []) g l =
   if l = false_ then `Unsat
   else begin
     let s = S.create () in
-    let m = to_solver g s (l :: assumptions) in
-    S.add_clause s [ sat_lit m l ];
-    List.iter (fun a -> S.add_clause s [ sat_lit m a ]) assumptions;
+    let m = encoder g s in
+    let roots = List.map (encode m) (l :: assumptions) in
+    List.iter (fun sl -> S.add_clause s [ sl ]) roots;
     match S.solve s with
     | S.Sat -> `Sat (witness_of_model m)
     | S.Unsat -> `Unsat

@@ -80,15 +80,14 @@ val num_nodes : t -> int
 (** {1 SAT bridge} *)
 
 type cnf_map
-(** A mapping from AIG literals to solver literals produced by
-    {!to_solver}. *)
-
-val to_solver : t -> Dfv_sat.Solver.t -> lit list -> cnf_map
-(** [to_solver g s roots] adds Tseitin clauses for the cones of [roots]
-    to the solver and returns the literal map.  Incremental: calling it
-    again with more roots on the same [cnf_map]'s solver reuses the
-    variables already allocated (pass the same graph and solver; a fresh
-    map is returned that shares the encoding). *)
+(** A Tseitin encoding of part of one graph into one solver: the solver
+    literal of every encoded node, held in an array indexed by node that
+    grows with the graph.  {!encode} walks a cone depth first, fanin a's
+    cone before fanin b's, and gives a node its variable once its fanins
+    have theirs; that order fixes every variable, so it is part of the
+    solver's search.  The map keeps its traversal stack between calls,
+    so an encode allocates little beyond the variables and clauses it
+    adds. *)
 
 val sat_lit : cnf_map -> lit -> Dfv_sat.Lit.t
 (** Solver literal for an encoded AIG literal.  Raises [Not_found] if the
@@ -122,7 +121,8 @@ val check_sat :
   ?assumptions:lit list -> t -> lit -> [ `Sat of bool array | `Unsat ]
 (** [check_sat g l] decides whether some input assignment makes [l] true;
     on [`Sat], the witness assigns each primary input (indexed by input
-    number).  One-shot convenience wrapper over {!to_solver}. *)
+    number).  One-shot convenience wrapper: a fresh solver and
+    {!encoder}, with [l] and then each assumption encoded and asserted. *)
 
 val equivalent : t -> lit -> lit -> [ `Yes | `No of bool array ]
 (** [equivalent g a b] checks functional equivalence of two literals by

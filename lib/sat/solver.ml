@@ -35,10 +35,12 @@ let budget_key = function
 module Vec = struct
   type t = { mutable data : int array; mutable len : int }
 
-  let create () = { data = Array.make 16 0; len = 0 }
+  (* No storage until the first push: most literals' watch lists stay
+     empty or short. *)
+  let create () = { data = [||]; len = 0 }
 
   let grow v =
-    let data = Array.make (2 * v.len) 0 in
+    let data = Array.make (max 4 (2 * v.len)) 0 in
     Array.blit v.data 0 data 0 v.len;
     v.data <- data
 
@@ -207,9 +209,9 @@ let grow_arrays s =
   s.phase <- grow s.phase false;
   s.heap_pos <- grow s.heap_pos (-1);
   s.seen <- grow s.seen false;
-  let w = Array.init (4 * n) (fun _ -> Vec.create ()) in
-  Array.blit s.watches 0 w 0 (2 * n);
-  s.watches <- w
+  let w = s.watches in
+  s.watches <-
+    Array.init (4 * n) (fun l -> if l < 2 * n then w.(l) else Vec.create ())
 
 let new_var s =
   if s.nvars = Array.length s.level then grow_arrays s;

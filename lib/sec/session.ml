@@ -112,16 +112,25 @@ let stats t =
 
 (* --- encoding and solving -------------------------------------------- *)
 
-let encode t l = Aig.encode t.m l
-let block t l = Solver.add_clause t.solver [ L.negate (encode t l) ]
-let activation t = L.pos (Solver.new_var t.solver)
-let guard t act l = Solver.add_clause t.solver [ L.negate act; encode t l ]
-let retire t act = Solver.add_clause t.solver [ L.negate act ]
-
 let m_queries = Dfv_obs.Metrics.counter "sec.queries"
 let m_unknowns = Dfv_obs.Metrics.counter "sec.unknowns"
 let m_unroll_hits = Dfv_obs.Metrics.counter "sec.unroll_hits"
 let m_frame_us = Dfv_obs.Metrics.histogram "sec.frame_us"
+let m_encode_us = Dfv_obs.Metrics.histogram "sec.encode_us"
+
+(* The Tseitin stage: one span and one histogram sample per call. *)
+let encode t l =
+  let t0 = now () in
+  let sl =
+    Dfv_obs.Trace.with_span ~cat:"sec" "sec.encode" (fun () -> Aig.encode t.m l)
+  in
+  Dfv_obs.Metrics.observe m_encode_us (int_of_float ((now () -. t0) *. 1e6));
+  sl
+
+let block t l = Solver.add_clause t.solver [ L.negate (encode t l) ]
+let activation t = L.pos (Solver.new_var t.solver)
+let guard t act l = Solver.add_clause t.solver [ L.negate act; encode t l ]
+let retire t act = Solver.add_clause t.solver [ L.negate act ]
 
 let check ?(assumptions = []) ?budget t l =
   let sp = Dfv_obs.Trace.begin_span ~cat:"sec" "sec.frame" in

@@ -64,7 +64,8 @@ val stats : t -> stats
 
 val encode : t -> Dfv_aig.Aig.lit -> Dfv_sat.Lit.t
 (** Encode a literal's cone (incrementally) and return its solver
-    literal. *)
+    literal.  Each call is one [sec.encode] span and one
+    [sec.encode_us] histogram sample. *)
 
 val block : t -> Dfv_aig.Aig.lit -> unit
 (** Permanently rule a literal out.  Only sound for session-level facts

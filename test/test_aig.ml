@@ -343,6 +343,136 @@ let test_sat_finds_distinguishing_input () =
   done;
   check_bool "bug found" true !found
 
+(* --- Tseitin encoder against a reference -------------------------------- *)
+
+module S = Dfv_sat.Solver
+module L = Dfv_sat.Lit
+
+(* The list-stack DFS the encoder must reproduce, over the public node
+   accessors.  A cone's nodes get their solver variables in this visit
+   order (fanin a's cone before fanin b's), so the encoder must number
+   every node and count every reuse exactly as this does. *)
+type reference = {
+  r_solver : S.t;
+  r_vars : (int, L.t) Hashtbl.t;
+  mutable r_fresh : int;
+  mutable r_reuse : int;
+}
+
+let reference_lit r l =
+  let v = Hashtbl.find r.r_vars (l lsr 1) in
+  if l land 1 = 1 then L.negate v else v
+
+let reference_encode g r root =
+  let seen = Hashtbl.create 16 in
+  let add id v =
+    Hashtbl.add r.r_vars id v;
+    r.r_fresh <- r.r_fresh + 1
+  in
+  let push id stack =
+    if Hashtbl.mem r.r_vars id then begin
+      r.r_reuse <- r.r_reuse + 1;
+      stack
+    end
+    else id :: stack
+  in
+  let rec go = function
+    | [] -> ()
+    | id :: rest when Hashtbl.mem r.r_vars id ->
+      r.r_reuse <- r.r_reuse + 1;
+      go rest
+    | id :: rest -> (
+      match (Aig.node_fanins g id, Aig.node_input g id) with
+      | None, None ->
+        add id (S.false_lit r.r_solver);
+        go rest
+      | None, Some _ ->
+        add id (L.pos (S.new_var r.r_solver));
+        go rest
+      | Some (a, b), _ when not (Hashtbl.mem seen id) ->
+        Hashtbl.add seen id ();
+        go (push (a lsr 1) (push (b lsr 1) (id :: rest)))
+      | Some (a, b), _ ->
+        let n = L.pos (S.new_var r.r_solver) in
+        let la = reference_lit r a and lb = reference_lit r b in
+        S.add_clause r.r_solver [ L.negate n; la ];
+        S.add_clause r.r_solver [ L.negate n; lb ];
+        S.add_clause r.r_solver [ n; L.negate la; L.negate lb ];
+        add id n;
+        go rest)
+  in
+  go [ root lsr 1 ]
+
+(* A script grows one graph in phases: each adds ANDs over literals
+   already in the graph, then encodes one root, so the encoder sees the
+   graph grow between calls and each root's cone meets earlier ones. *)
+let gen_encode_script =
+  QCheck.Gen.(
+    pair (int_range 1 6)
+      (list_size (int_range 1 6)
+         (pair
+            (list_size (int_range 0 16)
+               (pair (pair nat nat) (pair bool bool)))
+            (pair nat bool))))
+
+let print_encode_script (ninputs, phases) =
+  Printf.sprintf "inputs=%d %s" ninputs
+    (String.concat " | "
+       (List.map
+          (fun (ands, (root, rc)) ->
+            Printf.sprintf "ands [%s] root %d%s"
+              (String.concat "; "
+                 (List.map
+                    (fun ((i, j), (ci, cj)) ->
+                      Printf.sprintf "%d%s&%d%s" i
+                        (if ci then "'" else "")
+                        j
+                        (if cj then "'" else ""))
+                    ands))
+              root
+              (if rc then "'" else ""))
+          phases))
+
+let prop_encoder_matches_reference =
+  QCheck.Test.make ~name:"encoder matches the list-stack reference"
+    ~count:300
+    (QCheck.make gen_encode_script ~print:print_encode_script)
+    (fun (ninputs, phases) ->
+      let g = Aig.create () in
+      for _ = 1 to ninputs do
+        ignore (Aig.input g)
+      done;
+      let s = S.create () in
+      let m = Aig.encoder g s in
+      let r =
+        { r_solver = S.create (); r_vars = Hashtbl.create 16; r_fresh = 0;
+          r_reuse = 0 }
+      in
+      let pick k c = (2 * (k mod Aig.num_nodes g)) lxor Bool.to_int c in
+      List.for_all
+        (fun (ands, (root, rc)) ->
+          List.iter
+            (fun ((i, j), (ci, cj)) ->
+              let a = pick i ci in
+              ignore (Aig.and_ g a (pick j cj)))
+            ands;
+          let root = pick root rc in
+          let sl = Aig.encode m root in
+          reference_encode g r root;
+          let same_lit id =
+            match Aig.sat_lit m (2 * id) with
+            | l -> Hashtbl.find_opt r.r_vars id = Some l
+            | exception Not_found -> not (Hashtbl.mem r.r_vars id)
+          in
+          let all_nodes = List.init (Aig.num_nodes g + 2) Fun.id in
+          sl = reference_lit r root
+          && List.for_all same_lit all_nodes
+          && S.nvars s = S.nvars r.r_solver
+          && S.nclauses s = S.nclauses r.r_solver
+          && Aig.fresh_encoded m = r.r_fresh
+          && Aig.reuse_hits m = r.r_reuse)
+        phases)
+
 let suite =
   [ Alcotest.test_case "constant folding" `Quick test_constant_folding;
     Alcotest.test_case "structural hashing" `Quick test_structural_hashing;
@@ -367,4 +497,5 @@ let suite =
     Alcotest.test_case "SAT: adder forms equivalent" `Quick
       test_sat_equivalence_of_adders;
     Alcotest.test_case "SAT: injected bug found" `Quick
-      test_sat_finds_distinguishing_input ]
+      test_sat_finds_distinguishing_input;
+    QCheck_alcotest.to_alcotest prop_encoder_matches_reference ]

@@ -260,6 +260,55 @@ let test_stats_reported () =
   check_bool "propagations counted" true (Solver.npropagations s > 0);
   check_bool "learnt clauses" true (Solver.nlearnts s > 0)
 
+(* More variables than a fresh solver's arrays hold, so intake grows
+   them: before any clause when all variables come first, between
+   clauses (with populated watch lists) when they come on demand.  The
+   clauses come in order of their largest variable, so each growth on
+   demand finds the clauses over the lower variables already watched. *)
+let top_var c = List.fold_left (fun m l -> max m (Lit.var l)) (-1) c
+
+let gen_wide_cnf =
+  QCheck.Gen.(
+    int_range 17 80 >>= fun nvars ->
+    let gen_lit = map2 Lit.make (int_range 0 (nvars - 1)) bool in
+    let gen_clause = list_size (int_range 1 4) gen_lit in
+    map
+      (fun cs ->
+        ( nvars,
+          List.stable_sort (fun a b -> compare (top_var a) (top_var b)) cs ))
+      (list_size (int_range 1 (4 * nvars)) gen_clause))
+
+let prop_intake_order_keeps_search =
+  QCheck.Test.make ~name:"variable intake order keeps the search" ~count:200
+    (QCheck.make gen_wide_cnf ~print:(fun (nvars, cs) ->
+         Printf.sprintf "nvars=%d clauses=[%s]" nvars
+           (String.concat "; "
+              (List.map
+                 (fun c -> String.concat " " (List.map Lit.to_string c))
+                 cs))))
+    (fun (nvars, clauses) ->
+      let upfront, _ = fresh nvars in
+      List.iter (Solver.add_clause upfront) clauses;
+      let on_demand = Solver.create () in
+      let reach n =
+        while Solver.nvars on_demand < n do
+          ignore (Solver.new_var on_demand)
+        done
+      in
+      List.iter
+        (fun c ->
+          reach (1 + top_var c);
+          Solver.add_clause on_demand c)
+        clauses;
+      reach nvars;
+      let r1 = is_sat (Solver.solve upfront) in
+      let r2 = is_sat (Solver.solve on_demand) in
+      r1 = r2
+      && ((not r1) || Solver.model upfront = Solver.model on_demand)
+      && Solver.nconflicts upfront = Solver.nconflicts on_demand
+      && Solver.ndecisions upfront = Solver.ndecisions on_demand
+      && Solver.npropagations upfront = Solver.npropagations on_demand)
+
 let qcheck_props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_agrees_with_brute_force; prop_assumption_consistency ]
@@ -567,4 +616,5 @@ let suite =
       QCheck_alcotest.to_alcotest prop_reduction_keeps_answers;
       Alcotest.test_case "interleaved incremental sessions" `Quick
         test_interleaved_sessions;
-      Alcotest.test_case "dimacs offset load" `Quick test_dimacs_offset_load ]
+      Alcotest.test_case "dimacs offset load" `Quick test_dimacs_offset_load;
+      QCheck_alcotest.to_alcotest prop_intake_order_keeps_search ]
