@@ -13,19 +13,19 @@
      dfv validate <file>...       check artifacts parse + carry the envelope
 
    faultsim runs its mutants on --jobs workers (default = core count;
-   one worker runs them in-process, in order).  The workers are
-   in-process work-stealing domains, unless --timeout bounds each
-   mutant's wall clock: only a forked process can be killed, so a
-   timeout runs them in forked workers.  Verdicts are byte-identical
-   either way.  sec --jobs N races solving strategies in forked
-   workers, and the first conclusive verdict kills the loser.  Both
+   one worker runs them in-process, in order), which are in-process
+   work-stealing domains; --timeout S stops a mutant still running
+   after S seconds at its next poll.  Verdicts are byte-identical at
+   any --jobs.  sec --jobs N races solving strategies on the same
+   domains, and the first conclusive verdict cancels the loser.  Both
    commands take --journal FILE (durable write-ahead journal of
    verdicts) and --resume FILE (replay a journal and run only what is
    missing); faultsim also takes --deadline S (graceful degradation:
    shrink solver budgets, then shed mutants to UNKNOWN instead of
-   dying).  SIGINT/SIGTERM stop
-   the campaign cleanly: workers are killed, the journal is flushed,
-   and the exit code is 4 ("interrupted, resumable").
+   dying).  SIGINT/SIGTERM stop the campaign cleanly: running jobs
+   stop at their next poll, the journal is flushed, and the exit code
+   is 4 ("interrupted, resumable").  A segfault or an OOM kill ends
+   the whole run; the journal makes it resumable.
 
    Bugs can be planted with --bug (see `dfv list`) to watch the flows
    catch them.  The flow commands take --trace FILE (Chrome trace_event
@@ -60,11 +60,12 @@ let exits =
          or --resume the run can be resumed from the journal." ]
 
 (* Route SIGINT/SIGTERM through the pool's cooperative stop flag for
-   the duration of [f]: workers are killed, the journal (if any) stays
-   flushed — every completed verdict was fsync'd as it landed — and
-   the command exits with {!exit_interrupted} instead of dying
-   mid-write.  Handlers are restored afterwards so cmdliner's own
-   error paths keep default signal behaviour. *)
+   the duration of [f]: pooled jobs stop at their next poll, the
+   journal (if any) stays flushed — every completed verdict was
+   fsync'd as it landed — and the command exits with
+   {!exit_interrupted} instead of dying mid-write.  Handlers are
+   restored afterwards so cmdliner's own error paths keep default
+   signal behaviour. *)
 let with_interrupt f =
   Dfv_par.Pool.reset_stop ();
   let install s =
@@ -208,8 +209,8 @@ let obs_term =
           ~doc:
             "Capture a span timeline of the run and write it to $(docv) as \
              Chrome trace_event JSON (load in chrome://tracing or Perfetto). \
-             Pooled runs merge worker spans in under each worker's pid, so \
-             the timeline is multi-process.")
+             Pooled runs merge worker spans in on a lane per worker \
+             domain.")
   in
   let raw =
     Arg.(
@@ -335,9 +336,7 @@ let stats_arg =
            per-query solve times.")
 
 (* Worker-pool flags.  The term yields [None] when --jobs was absent so
-   each command can pick its own default.  --jobs is only a worker
-   count: which executor runs faultsim's workers follows from
-   --timeout alone. *)
+   each command can pick its own default. *)
 let jobs_term =
   let jobs =
     Arg.(
@@ -345,11 +344,11 @@ let jobs_term =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Number of workers (faultsim defaults to the machine's core \
-             count, sec to 1).  sec races its strategies in forked \
-             workers.  faultsim runs its mutants in-process at 1, on \
-             in-process domains above 1, and in forked workers with \
-             crash isolation whenever --timeout is given.  Verdicts are \
+            "Number of workers, at most one per core (faultsim defaults \
+             to the machine's core count, sec to 1).  Workers are \
+             in-process domains: sec races its strategies on them, \
+             faultsim runs its mutants on them, and one worker runs \
+             everything in order on the calling domain.  Verdicts are \
              independent of $(docv).")
   in
   let check = function
@@ -421,8 +420,9 @@ let timeout_term =
       & opt (some float) None
       & info [ "timeout" ] ~docv:"S"
           ~doc:
-            "Per-job wall-clock budget in seconds; an expired worker is \
-             killed and its job recorded as undecided.")
+            "Per-job wall-clock budget in seconds: a job still running \
+             after $(docv) seconds stops at its next poll (solver, \
+             sweep or simulation step) and is recorded as undecided.")
   in
   let check = function
     | Some s when s <= 0.0 -> Error (`Msg "--timeout must be positive")
@@ -554,10 +554,10 @@ let serve_socket_arg =
 let sec_cmd =
   let doc =
     "Run sequential equivalence checking on a pair.  With --jobs the \
-     check runs as a strategy portfolio: solving variants race in forked \
-     workers, at most one per core, and the first conclusive verdict \
-     kills the rest.  With --serve-socket the query is answered by a dfv \
-     serve daemon."
+     check runs as a strategy portfolio: solving variants race on \
+     in-process domains, at most one per core, and the first conclusive \
+     verdict cancels the rest.  With --serve-socket the query is \
+     answered by a dfv serve daemon."
   in
   let run budget stats jobs journal progress serve_socket obs design bug =
     with_obs obs @@ fun () ->

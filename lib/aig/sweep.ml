@@ -140,6 +140,9 @@ let prove_equal st a b =
     if miter = Aig.false_ then true
     else if miter = Aig.true_ then false
     else begin
+      (* One poll per candidate pair: a cancelled job stops between
+         local queries even when none of them reaches 64 conflicts. *)
+      Dfv_sat.Stop.poll ();
       let ml = Aig.encode st.enc miter in
       match
         S.solve_bounded ~assumptions:[ ml ] ~max_conflicts:st.max_conflicts

@@ -23,4 +23,6 @@ val fraig :
     an equivalent literal of [g'].  [sim_words] 62-bit random pattern
     words drive candidate detection (default 8, i.e. 496 patterns);
     [max_conflicts] bounds each pairwise SAT query (default 1000 —
-    undecided pairs are left unmerged, so the result is always sound). *)
+    undecided pairs are left unmerged, so the result is always sound).
+    Before each pair it proves it polls {!Dfv_sat.Stop}, so a cancelled
+    pool job stops mid-sweep. *)

@@ -62,20 +62,6 @@ let exit_code = function
     3
   | Interrupted _ -> 4
 
-(* Retry classification for the worker pool.  A [Worker_crashed] may be
-   environmental (OOM kill under transient memory pressure, an operator
-   signal, a scheduler hiccup starving the heartbeat) — worth a bounded
-   retry; if the crash is deterministic the retries fail identically and
-   the error stands.  A [Worker_timeout] re-run under the same budget
-   deterministically times out again, and every other constructor is a
-   structured verdict about the job itself, so neither is transient. *)
-let transient = function
-  | Worker_crashed _ -> true
-  | Stimulus_exhausted _ | Protocol_violation _ | Watchdog _
-  | Transaction_incomplete _ | Elaboration_failure _ | Spec_violation _
-  | Model_runtime_fault _ | Worker_timeout _ | Interrupted _ | Internal _ ->
-    false
-
 let of_exn = function
   | Dfv_slm.Kernel.Watchdog_trip trip ->
     let kind =
@@ -119,7 +105,10 @@ let of_exn = function
 let guard f =
   match f () with
   | v -> Ok v
-  | exception ((Out_of_memory | Stack_overflow | Sys.Break) as e) -> raise e
+  | exception
+      ((Out_of_memory | Stack_overflow | Sys.Break | Dfv_sat.Stop.Stopped) as e)
+    ->
+    raise e
   | exception e -> Error (of_exn e)
 
 (* --- JSON round-trip --------------------------------------------------- *)

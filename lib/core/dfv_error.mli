@@ -42,12 +42,11 @@ type t =
   | Model_runtime_fault of string
       (** the SLM faulted while executing (e.g. division by zero) *)
   | Worker_crashed of { job : string; detail : string }
-      (** a pool worker process died without delivering a result: killed
-          by a signal (segfault, OOM kill), a nonzero exit, or a lost
-          heartbeat (see {!Dfv_par.Pool}) *)
+      (** a pool job ended without an outcome (see {!Dfv_par.Pool}) *)
   | Worker_timeout of { job : string; seconds : float }
-      (** a pool worker exceeded its per-job wall-clock budget and was
-          killed — the parallel analogue of a solver budget running out *)
+      (** a pool job passed its per-job wall-clock budget and stopped at
+          its next poll ({!Dfv_sat.Stop}) — the parallel analogue of a
+          solver budget running out *)
   | Interrupted of { job : string }
       (** the run was stopped by an operator signal (SIGINT/SIGTERM)
           before this job completed; the work is resumable from a
@@ -64,19 +63,10 @@ val exit_code : t -> int
     structural/internal errors (including worker crashes), 4 for
     "interrupted, resumable". *)
 
-val transient : t -> bool
-(** Whether a bounded retry of the failed job could plausibly succeed.
-    Only [Worker_crashed] qualifies — a worker death may be
-    environmental (OOM pressure, a stray signal, a starved heartbeat)
-    rather than a property of the job.  [Worker_timeout] under the same
-    budget fails identically, and every other constructor is a
-    structured verdict about the job itself.  {!Dfv_par.Pool} consults
-    this to decide which failures enter its retry-with-backoff loop. *)
-
 val to_json : t -> Dfv_obs.Json.t
 (** Structured rendering, a tagged object [{"kind": ..., ...fields}].
-    {!of_json} inverts it exactly; the worker pool uses the pair to
-    carry taxonomy values across the result pipe without flattening
+    {!of_json} inverts it exactly; campaign journals and the serve
+    protocol use the pair to carry taxonomy values without flattening
     them to strings. *)
 
 val of_json : Dfv_obs.Json.t -> (t, string) result
@@ -88,4 +78,5 @@ val of_exn : exn -> t
 val guard : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, converting any raised exception via {!of_exn}.
     Asynchronous/fatal exceptions ([Out_of_memory], [Stack_overflow],
-    [Sys.Break]) are re-raised, not captured. *)
+    [Sys.Break]) are re-raised, not captured, and so is
+    {!Dfv_sat.Stop.Stopped}: a stopped job is the pool's to report. *)

@@ -194,7 +194,9 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
     in
     let rec loop i =
       if i >= vectors then Ok (Sim_clean { vectors })
-      else
+      else begin
+        (* A cancelled pool job stops between transactions. *)
+        Dfv_sat.Stop.poll ();
         match draw () with
         | None ->
           Error
@@ -220,6 +222,7 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
               List.map (fun (c, e, got) -> (c, Option.get e, got)) failed
             in
             Ok (Sim_mismatch { vector_index = i; params; failed_checks }))
+      end
     in
     loop 0
   in

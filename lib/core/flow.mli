@@ -48,7 +48,9 @@ val simulate :
     how hard the generator looks.  When the search is exhausted the
     result is [Error (Stimulus_exhausted _)] naming the tightest
     constraints; engine failures while simulating map through
-    {!Dfv_error.of_exn} instead of escaping as exceptions. *)
+    {!Dfv_error.of_exn} instead of escaping as exceptions.  Before each
+    transaction it polls {!Dfv_sat.Stop}, so a cancelled pool job ends
+    between transactions. *)
 
 val sec :
   ?budget:Dfv_sat.Solver.budget ->

@@ -64,10 +64,9 @@ let mutant_site = function
 
 (* --- wire form ---------------------------------------------------------
 
-   The per-mutant result as it crosses a worker pipe (see {!Pool.map}).
-   Distinct from the report JSON below: this one round-trips exactly,
-   keeping [Crashed] as a structured taxonomy value rather than a
-   flattened string. *)
+   The per-mutant result as a journal records it.  Distinct from the
+   report JSON below: this one round-trips exactly, keeping [Crashed] as
+   a structured taxonomy value rather than a flattened string. *)
 
 module Json = Dfv_obs.Json
 
@@ -166,9 +165,8 @@ let progress_category r =
   | v -> verdict_label v
 
 let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
-    ?timeout ?deadline_at ?journal ?pool ?(exec = (`Auto : Pool.exec_mode))
-    ?(max_rtl_faults = 16) ?(max_slm_faults = 8) ?(extra_mutants = [])
-    ?(progress = false) subject =
+    ?timeout ?deadline_at ?journal ?pool ?(max_rtl_faults = 16)
+    ?(max_slm_faults = 8) ?(extra_mutants = []) ?(progress = false) subject =
   let t_start = Unix.gettimeofday () in
   let subject_name =
     match subject with
@@ -343,13 +341,11 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
     }
   in
   let indexed = List.mapi (fun i m -> (i, m)) mutants in
-  let use_pool =
-    match pool with Some b -> b | None -> jobs > 1 || timeout <> None
-  in
+  (* [pool:false] keeps every mutant on the calling domain. *)
+  let jobs = if pool = Some false then 1 else max 1 jobs in
   let reporter =
     if progress then
       Dfv_par.Progress.create ?deadline_at
-        ~mode:(if use_pool then Pool.exec_mode_to_string exec else "seq")
         ~label:("faultsim " ^ subject_name)
         ~total:(List.length mutants) ()
     else None
@@ -371,8 +367,8 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
      A mutant's journal key is structural — subject, index and mutant
      identity — so a resumed run (same configuration, any [jobs]) maps
      each mutant to the same record.  Only flow-level verdicts are
-     journaled: pool-level failures (crash/timeout/interruption) and
-     shed placeholders re-run on resume instead of being replayed. *)
+     journaled: pool-level failures (timeout/interruption) and shed
+     placeholders re-run on resume instead of being replayed. *)
   let mutant_fp i m =
     Dfv_par.Journal.fingerprint
       (String.concat "|"
@@ -402,11 +398,10 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
            campaign. *)
         match result_of_json payload with Ok r -> Some r | Error _ -> None))
   in
-  (* Pool failures fold into the campaign taxonomy: a timed-out worker
-     is an undecided mutant (budget-like), an interrupted one is an
-     undecided mutant that will re-run on resume, and anything else —
-     a crashed worker, or a job that escaped the flow's guard (a stack
-     overflow) — is the crash verdict. *)
+  (* Pool failures fold into the campaign taxonomy: a timed-out mutant
+     is undecided (budget-like), an interrupted one is undecided and
+     re-runs on resume, and anything else — a job that escaped the
+     flow's guard (a stack overflow) — is the crash verdict. *)
   let fold m = function
     | Ok r -> r
     | Error e ->
@@ -432,12 +427,11 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
     let on_result k outcome =
       (* Runs on the caller as each job's outcome becomes final: the
          journal grows with the campaign, so a kill at any instant
-         loses at most the jobs still in flight.  On the domains
-         executor the calling domain is also a worker, and it collects
-         the others' results between its own jobs, so a kill can also
-         lose what they finished during its current job: at most that
-         one job's duration of their work.  All of it re-runs on
-         resume. *)
+         loses at most the jobs still in flight.  The calling domain is
+         also a worker, and it collects the others' results between its
+         own jobs, so a kill can also lose what they finished during its
+         current job: at most that one job's duration of their work.
+         All of it re-runs on resume. *)
       let i, m = missing_arr.(k) in
       match outcome with
       | Ok r ->
@@ -447,11 +441,7 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
     in
     let label k = mutant_name (snd missing_arr.(k)) in
     let outcomes =
-      if use_pool then
-        Dfv_par.Dpool.map_auto ~exec ~jobs:(max 1 jobs) ?timeout ~label
-          ~on_result ~encode:result_to_json ~decode:result_of_json run_one
-          missing
-      else Dfv_par.Dpool.map ~jobs:1 ~label ~on_result run_one missing
+      Dfv_par.Dpool.map ~jobs ?timeout ~label ~on_result run_one missing
     in
     let by_index = Hashtbl.create 64 in
     List.iter (fun (i, r) -> Hashtbl.replace by_index i r) replayed;

@@ -11,21 +11,17 @@
     fatal outcome the campaign exists to find.
 
     Each mutant runs inside {!Dfv_core.Dfv_error.guard} with its own
-    SAT budget.  Every campaign, in-process or pooled, hands its
-    mutants to an executor ({!Dfv_par.Dpool.map} or
-    {!Dfv_par.Dpool.map_auto}), and each executor's catch-all also
-    contains what the guard re-raises: one crashing or
-    diverging mutant — a stack overflow included — degrades to a
-    recorded verdict and the rest of the campaign still runs.  With a
-    [timeout], under the default [exec], the mutants run in forked
-    worker processes
-    ({!Dfv_par.Pool}), upgrading that isolation to the process level: a
-    segfaulting or OOM-killed mutant becomes [Crashed], a
-    wall-clock-exceeded one becomes [Unknown], and the campaign
-    completes either way.  Verdicts are independent of [jobs] and of
-    the executor: mutants are enumerated in the parent and each
-    mutant's simulation seed is a pure function of the campaign seed
-    and its index ({!Dfv_par.Pool.job_seed}). *)
+    SAT budget.  Every campaign hands its mutants to the one executor,
+    {!Dfv_par.Dpool.map}, whose catch-all also contains what the guard
+    re-raises: one crashing or diverging mutant — a stack overflow
+    included — degrades to a recorded verdict and the rest of the
+    campaign still runs.  A mutant past its [timeout] stops at its next
+    poll and becomes [Unknown].  A segfault or an OOM kill, or a mutant
+    stuck where nothing polls, ends the whole run; with a [journal] the
+    run resumes from the last recorded verdict.  Verdicts are
+    independent of [jobs]: mutants are enumerated on the caller and
+    each mutant's simulation seed is a pure function of the campaign
+    seed and its index ({!Dfv_par.Pool.job_seed}). *)
 
 type subject =
   | Sec_pair of Dfv_core.Pair.t
@@ -96,7 +92,6 @@ val run :
   ?deadline_at:float ->
   ?journal:Dfv_par.Journal.t ->
   ?pool:bool ->
-  ?exec:Dfv_par.Pool.exec_mode ->
   ?max_rtl_faults:int ->
   ?max_slm_faults:int ->
   ?extra_mutants:mutant list ->
@@ -109,19 +104,12 @@ val run :
     [max_rtl_faults] (default 16) / [max_slm_faults] (default 8) bound
     the mutant population per subject.
 
-    [jobs] (default 1) bounds concurrent mutant workers.  The campaign
-    is pooled when [jobs > 1] or a [timeout] is given, and [pool]
-    overrides that rule in either direction; an unpooled campaign runs
-    its mutants in order on the calling domain ({!Dfv_par.Dpool.map} at
-    one worker).  [exec] (default [`Auto]) selects the pooled executor
-    through {!Dfv_par.Dpool.map_auto}: under [`Auto] a [timeout] runs
-    the mutants in forked workers and everything else on in-process
-    domains; [`Fork] and [`Domains] force one executor (verdicts are
-    byte-identical either way, and [`Domains] with a [timeout] is an
-    error).  [timeout] is the per-mutant wall-clock budget in seconds:
-    an expired mutant is killed and recorded as [Unknown]
-    (budget-like), while a worker that dies is recorded as
-    [Crashed].
+    [jobs] (default 1) bounds concurrent mutant workers on
+    {!Dfv_par.Dpool.map}; at one worker, or with [pool = false], the
+    mutants run in order on the calling domain.  [timeout] is the
+    per-mutant wall-clock budget in seconds: a mutant past it stops at
+    its next poll (solver, sweep or simulation) and is recorded as
+    [Unknown] with the worker-timeout reason (budget-like).
 
     [journal] makes the campaign durable: each completed mutant verdict
     is appended (fsync'd) as it lands, keyed by a structural mutant
@@ -129,8 +117,8 @@ val run :
     {e replayed} instead of re-run — verdicts are exact wire-form
     round-trips, so a resumed report is byte-identical to an
     uninterrupted one (timings aside).  Pool-level failures
-    (crash/timeout/interruption) and shed placeholders are never
-    journaled; they re-run on resume.
+    (timeout/interruption) and shed placeholders are never journaled;
+    they re-run on resume.
 
     [deadline_at] (absolute [Unix.gettimeofday] time) arms the
     graceful-degradation sentinel: mutants starting past the halfway
@@ -139,9 +127,10 @@ val run :
     in [r_shed]) instead of the campaign dying.
 
     If {!Dfv_par.Pool.request_stop} fires (the CLI's SIGINT/SIGTERM
-    handlers), remaining mutants are marked [Unknown] ("interrupted
-    before <mutant> completed (resumable)") without running and the
-    campaign returns promptly.
+    handlers), mutants in flight stop at their next poll, and they and
+    the remaining mutants are marked [Unknown] ("interrupted before
+    <mutant> completed (resumable)") and the campaign returns
+    promptly.
 
     [progress] (default false) drives a live {!Dfv_par.Progress} line
     on stderr — completion, rate, ETA, time to [deadline_at], and
@@ -149,10 +138,10 @@ val run :
     shed) mutant; it renders only when stderr is a TTY. *)
 
 val result_to_json : mutant_result -> Dfv_obs.Json.t
-(** The exact wire form of one mutant result — the payload a pool
-    worker ships back over its pipe.  Unlike {!json_of_reports} (a
-    human-facing report), this round-trips through {!result_of_json}
-    losslessly, keeping [Crashed] errors structured. *)
+(** The exact wire form of one mutant result — the payload a campaign
+    journal records.  Unlike {!json_of_reports} (a human-facing
+    report), this round-trips through {!result_of_json} losslessly,
+    keeping [Crashed] errors structured. *)
 
 val result_of_json : Dfv_obs.Json.t -> (mutant_result, string) result
 

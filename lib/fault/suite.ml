@@ -173,7 +173,7 @@ let subject name =
   | n -> failwith (Printf.sprintf "unknown faultsim design %s" n)
 
 let run ?budget ?(seed = 0) ?sim_vectors ?engine ?jobs ?timeout ?deadline
-    ?journal ?pool ?exec ?max_rtl_faults ?max_slm_faults ?progress
+    ?journal ?pool ?exec:_ ?max_rtl_faults ?max_slm_faults ?progress
     ?(designs = names) () =
   (* One absolute deadline across the whole suite: later campaigns see
      whatever window the earlier ones left. *)
@@ -183,16 +183,16 @@ let run ?budget ?(seed = 0) ?sim_vectors ?engine ?jobs ?timeout ?deadline
   List.map
     (fun name ->
       Campaign.run ?budget ?sim_vectors ~seed ?engine ?jobs ?timeout
-        ?deadline_at ?journal ?pool ?exec ?max_rtl_faults ?max_slm_faults
+        ?deadline_at ?journal ?pool ?max_rtl_faults ?max_slm_faults
         ?progress (subject name))
     designs
 
 (* The canonical configuration key a suite journal is bound to: every
-   knob that can change a verdict.  [jobs], [timeout], [deadline],
-   [pool] and [exec] are deliberately absent — parallelism and executor
-   choice never change verdicts (the {!Dfv_par.Pool.job_seed}
-   guarantee), and timeout/deadline casualties are never journaled, so
-   a resume may pick different values for all five. *)
+   knob that can change a verdict.  [jobs], [timeout], [deadline] and
+   [pool] are deliberately absent — parallelism never changes verdicts
+   (the {!Dfv_par.Pool.job_seed} guarantee), and timeout/deadline
+   casualties are never journaled, so a resume may pick different
+   values for all four. *)
 let campaign_key ~budget ~seed ~sim_vectors ~engine ~max_rtl_faults
     ~max_slm_faults ~designs =
   Printf.sprintf

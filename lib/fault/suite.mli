@@ -21,7 +21,7 @@ val run :
   ?deadline:float ->
   ?journal:Dfv_par.Journal.t ->
   ?pool:bool ->
-  ?exec:Dfv_par.Pool.exec_mode ->
+  ?exec:[ `Auto ] ->
   ?max_rtl_faults:int ->
   ?max_slm_faults:int ->
   ?progress:bool ->
@@ -29,12 +29,11 @@ val run :
   unit ->
   Campaign.report list
 (** Run the campaigns ([designs] defaults to all of {!names}; raises
-    [Failure] on an unknown name).  [jobs]/[timeout]/[pool] select the
-    per-mutant worker pool inside each campaign and [exec] (default
-    [`Auto]: fork processes iff a [timeout] is given, in-process
-    domains otherwise — see {!Dfv_par.Dpool.map_auto}) which executor
-    backs it;
-    [journal] makes every campaign durable/resumable, [deadline]
+    [Failure] on an unknown name).  [jobs]/[timeout]/[pool] size the
+    per-mutant worker pool inside each campaign.  [exec] is ignored:
+    there is one executor, and the argument stays only because the
+    repository benchmark passes it; it goes with the benchmark's next
+    change.  [journal] makes every campaign durable/resumable, [deadline]
     (seconds, one budget across the whole suite) arms the degradation
     sentinel, and [progress] renders a live per-campaign progress line
     on a TTY stderr — see {!Campaign.run}. *)
@@ -50,10 +49,9 @@ val campaign_key :
   string
 (** The canonical configuration key to open a suite journal under
     ({!Dfv_par.Journal.open_} fingerprints it): exactly the knobs that
-    can change verdicts.  [jobs]/[timeout]/[deadline]/[exec] are
-    excluded on purpose — a campaign may be resumed at a different
-    parallelism, on a different executor, or under different pressure
-    without invalidating its journal. *)
+    can change verdicts.  [jobs]/[timeout]/[deadline] are excluded on
+    purpose — a campaign may be resumed at a different parallelism or
+    under different pressure without invalidating its journal. *)
 
 val default_min_rate : float
 (** 0.95. *)

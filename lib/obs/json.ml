@@ -69,9 +69,9 @@ let write_file path v =
 
 (* A strict recursive-descent parser for the subset of JSON this module
    prints (which is all of JSON minus non-finite numbers).  It exists so
-   that the repository can read its *own* artifacts back: the worker
-   pool (lib/par) aggregates per-job results over pipes as envelope
-   lines, and `dfv validate` checks uploaded artifacts in CI.  It is not
+   that the repository can read its *own* artifacts back: journals and
+   the serve protocol (lib/par, lib/serve) read their envelope lines
+   back, and `dfv validate` checks uploaded artifacts in CI.  It is not
    a general-purpose JSON library: inputs it did not print may be
    rejected (e.g. numbers with exotic spellings), which is fine — a
    rejection is exactly the validation signal. *)

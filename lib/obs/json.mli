@@ -1,13 +1,13 @@
 (** Escape-correct JSON emission, and a strict reader for it.
 
     Every machine-readable artifact this repository produces — fault
-    campaign reports, traces, metrics, coverage, triage bundles, worker
-    pool result lines — goes through this one printer, so escaping is
-    right exactly once.  {!parse} is the inverse, added for the two
-    places the repository reads its {e own} JSON back: the fork pool
-    ({!Dfv_par.Pool}) aggregating per-job results over pipes, and
-    [dfv validate] checking uploaded CI artifacts for the common
-    [{"schema","version"}] envelope. *)
+    campaign reports, traces, metrics, coverage, triage bundles,
+    journal records — goes through this one printer, so escaping is
+    right exactly once.  {!parse} is the inverse, for the places the
+    repository reads its {e own} JSON back: journals
+    ({!Dfv_par.Journal}) and the [dfv serve] protocol replaying their
+    records, and [dfv validate] checking uploaded CI artifacts for the
+    common [{"schema","version"}] envelope. *)
 
 type t =
   | Null

@@ -61,8 +61,7 @@ let h_ids = ref 0
 (* Domain-local shadow registries: while a {!Dpool} worker domain runs
    a job it records into its own private registry (installed via
    {!isolate_domain}), so the hot paths stay free of cross-domain data
-   races and each job's telemetry is a clean delta — the in-process
-   analogue of the fork executor's reset-then-ship protocol.  The
+   races and each job's telemetry is a clean delta.  The
    [shadows_active] fast path keeps the cost on runs with no domain
    workers to one atomic load and a branch. *)
 let shadows_active = Atomic.make 0

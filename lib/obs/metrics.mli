@@ -47,14 +47,14 @@ val reset : unit -> unit
 
 (** {2 Domain-local isolation}
 
-    The in-process analogue of the fork executor's reset-then-ship
-    telemetry protocol (see {!Dfv_par.Pool}): a worker {e domain} calls
-    {!isolate_domain} at job start, after which every metric operation
-    on that domain — including operations through handles created
-    before isolation — records into a private, initially-empty shadow
-    registry instead of the process-wide one.  {!domain_snapshot} then
-    renders exactly the job's delta in the ordinary [dfv-metrics] wire
-    form, ready for {!merge} on the coordinating domain, and
+    How a {!Dfv_par.Dpool} job records a clean delta beside other
+    workers: a worker {e domain} calls {!isolate_domain} at job start,
+    after which every metric operation on that domain — including
+    operations through handles created before isolation — records into
+    a private, initially-empty shadow registry instead of the
+    process-wide one.  {!domain_snapshot} then renders exactly the job's
+    delta in the ordinary [dfv-metrics] wire form, ready for {!merge} on
+    the coordinating domain, and
     {!release_domain} uninstalls the shadow.  Registries are never
     shared across domains, so the hot paths stay race-free without
     per-operation locking; when no domain is isolated the extra cost is
@@ -82,7 +82,7 @@ val merge : Json.t -> (unit, string) result
     summed, gauges take the max of both value and high-water mark,
     histogram [count]/[sum] are summed and buckets summed elementwise
     (the bucket index is recovered from each bucket's [lo] bound).
-    This is how the {!Dfv_par.Pool} parent absorbs worker telemetry.
+    This is how the {!Dfv_par.Dpool} caller absorbs worker telemetry.
     Unknown names register on the fly; a malformed snapshot reports the
     first offending field (already-valid fields are still merged). *)
 

@@ -31,8 +31,8 @@ let current : sink option ref = ref None
    records spans into its own private ring (installed per job via
    {!isolate_domain}) so the main sink's ring and depth counters are
    never touched cross-domain.  The shadow is exported in the same
-   [dfv-trace-export] wire form the fork executor ships, with the
-   domain id standing in for the worker pid. *)
+   [dfv-trace-export] wire form {!export} produces, with the domain id
+   standing in for the worker pid. *)
 let shadows_active = Atomic.make 0
 
 let shadow_key : sink option Domain.DLS.key =
@@ -304,7 +304,7 @@ let spare_key : ev array option Domain.DLS.key =
    tracing off there is nothing to merge into, and the worker's spans
    stay the usual one-branch no-ops.  The shadow's [pid] field carries
    the worker's domain id — {!absorb} turns it into a per-domain lane
-   exactly as it gives forked workers per-pid lanes. *)
+   exactly as it gives another process's export a per-pid lane. *)
 let isolate_domain () =
   (match Domain.DLS.get shadow_key with
   | Some _ -> invalid_arg "Trace.isolate_domain: already isolated"

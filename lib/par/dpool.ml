@@ -3,19 +3,10 @@ module Json = Dfv_obs.Json
 module Metrics = Dfv_obs.Metrics
 module Trace = Dfv_obs.Trace
 module Coverage = Dfv_obs.Coverage
+module Stop = Dfv_sat.Stop
 
-let m_exec_fork = Metrics.counter "pool.exec.fork"
-let m_exec_domains = Metrics.counter "pool.exec.domains"
 let m_steals = Metrics.counter "pool.domains.steals"
 let m_interrupted = Metrics.counter "pool.interrupted"
-
-(* OCaml 5's one-way door: once a process has spawned any domain,
-   [Unix.fork] is forbidden for the rest of its life — even after every
-   spawned domain has been joined (the runtime refuses with "Unix.fork
-   may not be called while other domains were created").  The flag flips
-   the first time [run] spawns a worker and never flips back. *)
-let domains_used = Atomic.make false
-let fork_available () = not (Atomic.get domains_used)
 
 (* --- work-stealing deques ---------------------------------------------- *)
 
@@ -61,7 +52,7 @@ let steal d =
 type 'r completion = {
   c_job : int;
   c_domain : int;
-  c_outcome : 'r Pool.outcome;
+  c_outcome : 'r Pool.outcome option; (* [None]: the job was stopped *)
   c_telemetry : Json.t;
 }
 
@@ -101,19 +92,32 @@ let take q ~spawned ~wait =
 
 (* --- worker side -------------------------------------------------------- *)
 
-(* A job's containment: the error taxonomy's guard, plus a catch-all
-   for what the guard re-raises ([Stack_overflow], [Out_of_memory],
-   [Sys.Break]), so one job can never end the map — the same
-   containment as the fork child's. *)
-let contain f x =
-  match Dfv_error.guard (fun () -> f x) with
-  | o -> o
-  | exception e -> Error (Dfv_error.Internal (Printexc.to_string e))
+(* A job's containment.  The job runs under its own stop token (the
+   map's shared cancel flag plus its deadline) and the error taxonomy's
+   guard; a catch-all takes what the guard re-raises ([Stack_overflow],
+   [Out_of_memory], [Sys.Break]), so one job can never end the map.  A
+   job that stopped at a poll has no outcome when a race cancelled it
+   or the process stop flag is up; a passed deadline is its timeout. *)
+let contain ~timeout ~cancel ~label j f x =
+  let deadline =
+    match timeout with
+    | Some t -> Unix.gettimeofday () +. t
+    | None -> infinity
+  in
+  let token = Stop.token ~deadline cancel in
+  match Dfv_error.guard (fun () -> Stop.with_token token (fun () -> f x)) with
+  | o -> Some o
+  | exception Stop.Stopped -> (
+    match timeout with
+    | Some seconds when Stop.expired token && not (Stop.requested ()) ->
+      Some (Error (Dfv_error.Worker_timeout { job = label j; seconds }))
+    | _ -> None)
+  | exception e -> Some (Error (Dfv_error.Internal (Printexc.to_string e)))
 
 (* One job beside other workers: isolate all three observability sinks
-   so the job records a clean delta (the in-process analogue of the fork
-   child's reset-then-ship), run it contained, snapshot, release. *)
-let run_job f x =
+   so the job records a clean delta, run it contained, snapshot,
+   release.  A stopped job's partial delta is merged like any other. *)
+let run_job contained =
   Metrics.isolate_domain ();
   Trace.isolate_domain ();
   Coverage.isolate_domain ();
@@ -123,7 +127,7 @@ let run_job f x =
       Trace.release_domain ();
       Coverage.release_domain ())
     (fun () ->
-      let outcome = contain f x in
+      let outcome = contained () in
       ( outcome,
         Json.Obj
           [ ("metrics", Metrics.domain_snapshot ());
@@ -132,20 +136,38 @@ let run_job f x =
 
 (* --- the executor ------------------------------------------------------- *)
 
-let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
-    r Pool.outcome option array =
+let run (type a r) ?jobs ?timeout ?(label = string_of_int) ?on_result
+    ?conclusive (f : a -> r) (inputs : a list) : r Pool.outcome option array =
   let jobs = match jobs with None -> Pool.cores () | Some j -> j in
   if jobs < 1 then invalid_arg "Dpool: jobs must be >= 1";
+  (match timeout with
+  | Some t when t <= 0.0 -> invalid_arg "Dpool: timeout must be positive"
+  | _ -> ());
   let inputs = Array.of_list inputs in
   let n = Array.length inputs in
   let outcomes : r Pool.outcome option array = Array.make n None in
+  (* Every job's token shares this flag.  A race sets it at its first
+     conclusive result, on the worker that found it, so the siblings in
+     flight stop at their next poll and no further job is dealt out; a
+     plain map never sets it. *)
+  let cancel = Atomic.make false in
+  let settle = function
+    | Some (Ok r) -> (
+      match conclusive with Some c when c r -> Atomic.set cancel true | _ -> ())
+    | _ -> ()
+  in
+  let dealing () = not (Atomic.get cancel || Pool.stop_requested ()) in
+  let contained j () = contain ~timeout ~cancel ~label j f inputs.(j) in
+  let notify j = function
+    | Some o -> (match on_result with Some k -> k j o | None -> ())
+    | None -> ()
+  in
   (* Domains beyond the core count only contend with each other, so
-     concurrency is clamped to the host — unlike the fork pool, where
-     [jobs] is taken literally.  The calling domain is worker 0, so [w]
-     workers take [w - 1] spawned domains: no domain sits parked while
-     others work, and every stop-the-world collection meets only domains
-     that are running.  Verdicts cannot tell the difference; only
-     wall-clock can. *)
+     concurrency is clamped to the host.  The calling domain is worker
+     0, so [w] workers take [w - 1] spawned domains: no domain sits
+     parked while others work, and every stop-the-world collection
+     meets only domains that are running.  Verdicts cannot tell the
+     difference; only wall-clock can. *)
   let w = max 1 (min (min jobs n) (Pool.cores ())) in
   if w = 1 then begin
     (* One worker is the caller alone, so its jobs run in order on this
@@ -153,10 +175,11 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
        under the caller's open span: a sequential loop has no delta to
        isolate, ship or merge. *)
     let rec loop j =
-      if j < n && not (Pool.stop_requested ()) then begin
-        let o = contain f inputs.(j) in
-        outcomes.(j) <- Some o;
-        (match on_result with Some notify -> notify j o | None -> ());
+      if j < n && dealing () then begin
+        let o = contained j () in
+        outcomes.(j) <- o;
+        settle o;
+        notify j o;
         loop (j + 1)
       end
     in
@@ -165,15 +188,13 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
   else begin
     (* The calling domain owns the global sinks: it merges each job's
        telemetry and fires [on_result] in the order it collects
-       results, so callers see the fork parent's delivery discipline. *)
+       results. *)
     let record c =
-      outcomes.(c.c_job) <- Some c.c_outcome;
+      outcomes.(c.c_job) <- c.c_outcome;
       Pool.merge_telemetry
         ~label:(Printf.sprintf "dfv domain %d" c.c_domain)
         ~job:c.c_job c.c_telemetry;
-      match on_result with
-      | Some notify -> notify c.c_job c.c_outcome
-      | None -> ()
+      notify c.c_job c.c_outcome
     in
     (* Round-robin dealing: worker k starts with jobs k, k+w, k+2w … so
        early (often journal-missing) indices spread across domains. *)
@@ -210,11 +231,12 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
     let worker k ~deliver =
       let did = (Domain.self () :> int) in
       let rec loop () =
-        if not (Pool.stop_requested ()) then
+        if dealing () then
           match next_job k with
           | None -> ()
           | Some j ->
-            let outcome, telem = run_job f inputs.(j) in
+            let outcome, telem = run_job (contained j) in
+            settle outcome;
             deliver
               { c_job = j; c_domain = did; c_outcome = outcome;
                 c_telemetry = telem };
@@ -223,7 +245,6 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
       loop ()
     in
     let spawned = w - 1 in
-    Atomic.set domains_used true;
     let domains =
       Array.init spawned (fun i ->
           Domain.spawn (fun () ->
@@ -252,31 +273,27 @@ let run (type a r) ?jobs ?on_result (f : a -> r) (inputs : a list) :
     Array.iter (fun o -> if o = None then Metrics.incr m_interrupted) outcomes;
   outcomes
 
-let map ?jobs ?label ?on_result f inputs =
-  run ?jobs ?on_result f inputs |> Pool.map_outcomes ?label
+let map ?jobs ?timeout ?label ?on_result f inputs =
+  run ?jobs ?timeout ?label ?on_result f inputs |> Pool.map_outcomes ?label
 
-(* --- dispatch ------------------------------------------------------------ *)
+type 'r race = {
+  winner : (int * 'r) option;
+  outcomes : 'r Pool.outcome option array;
+}
 
-let short_job_threshold = 0.25
-
-let map_auto ?jobs ?timeout ?label ?on_result ~(exec : Pool.exec_mode)
-    ~encode ~decode f inputs =
-  let fork () =
-    Pool.map ?jobs ?timeout ?label ?on_result ~encode ~decode f inputs
+let race ?jobs ?label ?on_result ~conclusive f inputs =
+  let outcomes = run ?jobs ?label ?on_result ~conclusive f inputs in
+  (* The lowest index among the recorded conclusive results wins, so a
+     photo finish is deterministic. *)
+  let rec scan i =
+    if i >= Array.length outcomes then None
+    else
+      match outcomes.(i) with
+      | Some (Ok r) when conclusive r -> Some (i, r)
+      | _ -> scan (i + 1)
   in
-  let domains () = map ?jobs ?label ?on_result f inputs in
-  (* The one rule under [`Auto]: only the fork pool can kill a job, so a
-     timeout forks; everything else runs on domains. *)
-  match (exec, timeout) with
-  | `Fork, _ -> fork ()
-  | `Domains, Some _ ->
-    invalid_arg
-      "Dpool: per-job timeouts require the fork executor (a domain \
-       cannot be killed preemptively)"
-  | `Domains, None -> domains ()
-  | `Auto, Some _ ->
-    Metrics.incr m_exec_fork;
-    fork ()
-  | `Auto, None ->
-    Metrics.incr m_exec_domains;
-    domains ()
+  { winner = scan 0; outcomes }
+
+(* Read by perfbench, which reports the share of mutants shorter than
+   this as [fault.short_job_frac]. *)
+let short_job_threshold = 0.25

@@ -1,14 +1,10 @@
-(** An in-process work-stealing executor on OCaml 5 domains, plus the
-    dispatcher that picks between it and the fork {!Pool}.
+(** The one executor: an in-process work-stealing pool on OCaml 5
+    domains.
 
-    The fork pool buys crash isolation and preemptive timeouts at the
-    price of a [fork], a pipe, and JSON serialization {e per job} — a
-    price that exceeds the job itself for short work (per-mutant
-    campaign runs), which is exactly the regression
-    [BENCH_PAR_SPEEDUP.json] recorded.  This executor runs
-    the same jobs on worker {e domains} in shared memory: results pass
-    by reference, job closures by capture, and the only per-job cost is
-    a mutex-guarded deque pop.
+    Fault campaigns, the serve daemon's solve batches and the SEC
+    strategy race all run here.  Results pass by reference, job
+    closures by capture, and the only per-job cost is a mutex-guarded
+    deque pop.
 
     {2 Scheduling}
 
@@ -28,19 +24,28 @@
     collects results: its own at once, the other workers' between its
     own jobs, and whatever is still running once its deque and the
     steals run dry.  [on_result] therefore always runs on the calling
-    domain, as in the fork parent.
+    domain.
 
     A one-worker map (one job, [jobs = 1], or one core) is a plain loop
-    on the caller: jobs run in input order, no domain is started, the
-    runtime stays in single-domain mode and the fork door below stays
-    open.
+    on the caller: jobs run in input order and no domain is started.
+
+    {2 Stopping a job}
+
+    A domain cannot be killed, so every job runs under a
+    {!Dfv_sat.Stop} token that the long loops poll (the solver every 64
+    conflicts, the SAT sweep per candidate pair, the simulation flow
+    per transaction).  The token stops the job when its deadline
+    ([?timeout]) passes, when a race it belongs to has been won, or
+    when {!Pool.request_stop} fires.  The caller's own token is
+    restored after each of its jobs.  A job stuck where nothing polls
+    (a blocking system call, C code) runs on; a segfault or an OOM
+    kill ends the whole process.
 
     {2 Determinism}
 
     Outcomes are returned in input order and job seeds remain
     {!Pool.job_seed} of the job {e index}, so a campaign's verdicts are
-    byte-identical across job counts {e and} across executors — the
-    cross-executor gate of the parity tests.
+    byte-identical across job counts.
 
     {2 Telemetry and isolation}
 
@@ -48,90 +53,69 @@
     with all three {!Dfv_obs} sinks domain-isolated
     ({!Dfv_obs.Metrics.isolate_domain} and friends), so its metrics,
     spans and coverage are a clean delta, handed to the calling domain
-    as the same [{"metrics";"trace";"coverage"}] payload the fork
-    protocol uses and merged through {!Pool.merge_telemetry} — trace
-    lanes are tagged ["dfv domain N"] instead of ["dfv worker <pid>"].
-    A one-worker map isolates nothing: its jobs record straight into the
-    process sinks, their spans nest under the caller's open span, and
-    it ships no telemetry record.  Merged totals are the same either
-    way.
-
-    {2 What domains do not give you}
-
-    No crash isolation: a segfaulting C stub or an OOM kill takes the
-    whole process down.  Exceptions are contained as [Error] outcomes:
-    {!Dfv_core.Dfv_error.guard} maps the taxonomy's, and a catch-all
-    turns what it re-raises ([Stack_overflow], [Out_of_memory]) into
-    [Internal], as the fork child does.  No preemptive timeout: a
-    domain cannot be killed, so there is no [?timeout] here, and
-    {!Pool.request_stop} is cooperative at job granularity — in-flight
-    jobs finish, undealt jobs are never started.  Workloads needing a
-    timeout belong on the fork pool; [`Auto] dispatch routes them
-    there.  For the same reason there is no race here: a race on
-    domains would wait for its losing job, so {!Pool.race} is the only
-    one.
-
-    {2 The fork/domains one-way door}
-
-    OCaml 5 forbids [Unix.fork] in any process that has ever spawned a
-    domain, even after every domain has been joined.  Running this
-    executor with two or more workers therefore {e permanently} closes
-    the fork pool for the process ({!fork_available} reports the
-    door's state).  Dispatch does not consult it: a call with a timeout
-    forks however the process began, so mixing domains work and then
-    fork work in one process is a caller error that the runtime
-    rejects.  Order fork-pool work before domains work (the bench and
-    test suites do), or pick one executor per process.  Only a real
-    spawn closes the door: a one-worker map spawns nothing, so 1-core
-    hosts can alternate executors freely. *)
-
-val fork_available : unit -> bool
-(** [true] until the first worker domain is spawned in this process;
-    [false] forever after (the OCaml 5 runtime then refuses
-    [Unix.fork], so the fork {!Pool} is unusable). *)
+    as one [{"metrics";"trace";"coverage"}] payload and merged through
+    {!Pool.merge_telemetry} on a trace lane named ["dfv domain N"].  A
+    stopped job's partial delta is merged too.  A one-worker map
+    isolates nothing: its jobs record straight into the process sinks,
+    their spans nest under the caller's open span, and it ships no
+    telemetry record.  Merged totals are the same either way. *)
 
 val map :
-  ?jobs:int ->
-  ?label:(int -> string) ->
-  ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  ('a -> 'r) ->
-  'a list ->
-  'r Pool.outcome list
-(** [map f inputs] runs [f] on every input across worker domains and
-    returns the outcomes in input order; parameters have the same
-    meaning as in {!Pool.map} ([jobs] is additionally clamped to
-    {!Pool.cores}, and the calling domain is one of the workers).  A
-    job that raises is recorded as [Error] via
-    {!Dfv_core.Dfv_error.guard}, or as [Internal] for what the guard
-    re-raises.  If {!Pool.request_stop} fires mid-run, jobs not yet
-    started come back [Error (Interrupted _)]. *)
-
-(** {2 Dispatch} *)
-
-val short_job_threshold : float
-(** A job length in seconds (0.25).  Dispatch does not read it:
-    perfbench reports the share of mutants shorter than this as
-    [fault.short_job_frac], the jobs on which a per-job fork round trip
-    is a real share of the work. *)
-
-val map_auto :
   ?jobs:int ->
   ?timeout:float ->
   ?label:(int -> string) ->
   ?on_result:(int -> 'r Pool.outcome -> unit) ->
-  exec:Pool.exec_mode ->
-  encode:('r -> Dfv_obs.Json.t) ->
-  decode:(Dfv_obs.Json.t -> ('r, string) result) ->
   ('a -> 'r) ->
   'a list ->
   'r Pool.outcome list
-(** {!Pool.map} or {!map}, selected by [exec].  [`Fork] and [`Domains]
-    dispatch directly ([`Domains] with a [timeout] is an
-    [Invalid_argument] — a domain cannot be killed).  [`Auto] applies
-    one rule that reads the call alone: a [timeout] goes to the fork
-    pool, the only executor that can kill a job, and every other call
-    goes to {!map}.  No job runs and nothing is timed before the
-    choice.  Auto decisions are counted as [pool.exec.fork] /
-    [pool.exec.domains]; explicit modes are not, so telemetry parity
-    across executors holds.  [encode]/[decode] are unused on the
-    domains path. *)
+(** [map f inputs] runs [f] on every input and returns the outcomes in
+    input order.  [jobs] (default {!Pool.cores}) bounds the workers and
+    is clamped to {!Pool.cores}; the calling domain is one of them.
+
+    [timeout] is the per-job wall-clock budget in seconds, counted from
+    the job's start: a job still running past it stops at its next poll
+    and comes back as [Error (Worker_timeout {job; seconds = timeout})].
+    A job that finishes without polling keeps its result, late or not.
+    [label] names job [i] in error values (default: its index).
+
+    A job that raises is recorded as [Error] via
+    {!Dfv_core.Dfv_error.guard}, or as [Internal] for what the guard
+    re-raises ([Stack_overflow], [Out_of_memory]).
+
+    [on_result] is invoked on the calling domain, in completion order,
+    each time a job's outcome is recorded — the hook durable campaigns
+    use to append to their {!Journal} as results arrive.  If
+    {!Pool.request_stop} fires mid-run, jobs in flight stop at their
+    next poll, no further job starts, and every unfinished job comes
+    back [Error (Interrupted _)] without reaching [on_result]. *)
+
+type 'r race = {
+  winner : (int * 'r) option;
+      (** the first conclusive result (job index, result); [None] when
+          no job concluded *)
+  outcomes : 'r Pool.outcome option array;
+      (** per-job outcomes, indexed like the input list; [None] for jobs
+          cancelled, or never started, after a conclusive result *)
+}
+
+val race :
+  ?jobs:int ->
+  ?label:(int -> string) ->
+  ?on_result:(int -> 'r Pool.outcome -> unit) ->
+  conclusive:('r -> bool) ->
+  ('a -> 'r) ->
+  'a list ->
+  'r race
+(** Portfolio mode: like {!map} without a timeout, but the first result
+    for which [conclusive] holds cancels every sibling's token, so jobs
+    in flight stop at their next poll and pending jobs never start.
+    The winner is the lowest job index among the recorded conclusive
+    results, so a photo finish is deterministic.  At one worker the
+    jobs run in input order and none starts after a conclusive one.  If
+    no job concludes, [winner = None] and every outcome is filled in
+    (unless {!Pool.request_stop} fired). *)
+
+val short_job_threshold : float
+(** A job length in seconds (0.25).  The executor does not read it:
+    perfbench reports the share of mutants shorter than this as
+    [fault.short_job_frac]. *)

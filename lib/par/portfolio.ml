@@ -5,7 +5,10 @@ module Checker = Dfv_sec.Checker
 module Dfv_error = Dfv_core.Dfv_error
 module Json = Dfv_obs.Json
 
-(* --- wire forms -------------------------------------------------------- *)
+(* --- wire forms --------------------------------------------------------
+
+   What a journal record, a serve cache entry and a client response
+   carry. *)
 
 let reason_to_json = function
   | Solver.Conflict_limit -> Json.String "conflict_limit"
@@ -141,8 +144,8 @@ let params_of_json = function
 
 (* --- strategy race: SLM vs RTL ----------------------------------------- *)
 
-(* What a strategy worker sends back: the verdict with its
-   counterexample reduced to the parameter assignment. *)
+(* A verdict with its counterexample reduced to the parameter
+   assignment. *)
 type slm_wire =
   | W_equivalent of Checker.stats
   | W_not_equivalent of (string * Interp.value) list * Checker.stats
@@ -291,17 +294,13 @@ let check_slm_rtl ?jobs ?budget ?journal ?(progress = false) ~slm ~rtl ~spec
             Journal.append j ~fp:(fp (fst missing_arr.(k))) (slm_wire_to_json w)
           | _ -> ()
         in
-        (* Workers beyond the core count would only time-slice the
-           strategies. *)
-        let jobs = min (Option.value jobs ~default:max_int) (Pool.cores ()) in
         let r =
-          Pool.race ~jobs
+          Dpool.race ?jobs
             ~label:(fun i -> "sec:" ^ fst missing_arr.(i))
-            ~on_result ~encode:slm_wire_to_json ~decode:slm_wire_of_json
-            ~conclusive:slm_conclusive run missing
+            ~on_result ~conclusive:slm_conclusive run missing
         in
         (match reporter with Some p -> Progress.finish p | None -> ());
-        match r.Pool.winner with
+        match r.Dpool.winner with
         | Some (_, w) -> finish (reconstruct w)
         | None ->
           finish
@@ -311,7 +310,7 @@ let check_slm_rtl ?jobs ?budget ?journal ?(progress = false) ~slm ~rtl ~spec
                (* No strategy concluded: prefer a solver Unknown (an
                   honest "ran out of budget") — replayed or fresh — over
                   a worker failure. *)
-               let outcomes = Array.to_list r.Pool.outcomes in
+               let outcomes = Array.to_list r.Dpool.outcomes in
                let unknown =
                  match
                    List.find_map

@@ -1,31 +1,25 @@
-(** Portfolio SEC: one SLM-vs-RTL query raced across worker processes.
+(** Portfolio SEC: one SLM-vs-RTL query raced across solving
+    strategies.
 
     {!check_slm_rtl} races {e solving strategies} — the same query
-    attempted with and without the SAT-sweeping fallback — on the fork
-    {!Pool.race}, and takes the first conclusive verdict
-    ([Equivalent]/[Not_equivalent]), killing the losing worker.  Which
-    strategy wins the race may vary with machine load, but the verdict
-    cannot: both decide the same miter, so any conclusive answer is the
-    answer.
+    attempted with and without the SAT-sweeping fallback — on
+    {!Dpool.race}, and takes the first conclusive verdict
+    ([Equivalent]/[Not_equivalent]); the losing strategy's stop token
+    is cancelled, so it stops at its next poll.  Which strategy wins
+    the race may vary with machine load, but the verdict cannot: both
+    decide the same miter, so any conclusive answer is the answer.
 
     This module lives in [lib/par] rather than [lib/sec] because the
-    pool needs the {!Dfv_core.Dfv_error} taxonomy and [lib/core] already
+    race needs the {!Dfv_core.Dfv_error} taxonomy and [lib/core] already
     depends on [lib/sec]; the portfolio wraps {!Dfv_sec.Checker} from
-    the outside.
-
-    Counterexamples cross the worker pipe reduced to the SLM parameter
-    assignment (Verilog-literal strings under the [dfv-par] envelope);
-    the parent rebuilds the full counterexample via
-    {!Dfv_sec.Checker.cex_of_params}.  Worker failures surface as
-    [Error]. *)
+    the outside. *)
 
 (** {2 Wire forms}
 
-    The reduced SLM-vs-RTL verdict that crosses a worker pipe — and,
-    since the serve daemon speaks the same frames, a [dfv serve] result
-    cache entry and a [dfv client] response payload.  A counterexample
-    travels as its SLM parameter assignment alone; the receiving side
-    rebuilds the full {!Dfv_sec.Checker.cex} with
+    The reduced SLM-vs-RTL verdict as a portfolio journal record, a
+    [dfv serve] result cache entry and a [dfv client] response payload.
+    A counterexample travels as its SLM parameter assignment alone; the
+    receiving side rebuilds the full {!Dfv_sec.Checker.cex} with
     {!Dfv_sec.Checker.cex_of_params}, which requires having the design
     itself (the assignment determines the counterexample completely). *)
 
@@ -69,10 +63,11 @@ val check_slm_rtl :
 (** Race the sweeping and direct strategies on one SLM-vs-RTL query.
     First conclusive verdict wins; if every strategy returns [Unknown],
     the first strategy's [Unknown] is reported.  [Error] when every
-    strategy's worker crashed.  [budget] is the per-query solver budget,
-    as in {!Dfv_sec.Checker.check_slm_rtl}.  [jobs] (default: the core
-    count) is clamped to {!Pool.cores}; with one worker the strategies
-    run one after another, sweep first.
+    strategy failed.  [budget] is the per-query solver budget, as in
+    {!Dfv_sec.Checker.check_slm_rtl}.  [jobs] (default: the core count)
+    is clamped to {!Pool.cores}; with one worker the strategies run one
+    after another, sweep first, and the direct strategy never starts
+    once the sweep has concluded.
 
     [journal] (a file path) makes the race durable: the journal is
     bound to a campaign key derived from {!Dfv_sec.Fingerprint.pair}

@@ -1,22 +1,16 @@
-module Metrics = Dfv_obs.Metrics
-
 type t = {
   total : int;
   label : string;
-  mode : string option; (* active exec mode, shown after the label *)
   deadline_at : float option;
   t_start : float;
   mutable done_ : int;
   tallies : (string, int ref) Hashtbl.t;
   mutable tally_order : string list; (* first-seen order *)
-  retry0 : int; (* pool.retry.attempts at creation, for a run-local delta *)
   mutable last_render : float;
   mutable width : int; (* widest line printed, for clean overwrite *)
 }
 
-let retry_counter = Metrics.counter "pool.retry.attempts"
-
-let create ?(force = false) ?mode ?deadline_at ~label ~total () =
+let create ?(force = false) ?deadline_at ~label ~total () =
   if total <= 0 then None
   else if not (force || Unix.isatty Unix.stderr) then None
   else
@@ -24,13 +18,11 @@ let create ?(force = false) ?mode ?deadline_at ~label ~total () =
       {
         total;
         label;
-        mode;
         deadline_at;
         t_start = Unix.gettimeofday ();
         done_ = 0;
         tallies = Hashtbl.create 8;
         tally_order = [];
-        retry0 = Metrics.counter_value retry_counter;
         last_render = 0.0;
         width = 0;
       }
@@ -71,16 +63,11 @@ let render t ~final =
         ""
         t.tally_order
     in
-    let retries = Metrics.counter_value retry_counter - t.retry0 in
-    let retries = if retries > 0 then Printf.sprintf " retry:%d" retries else "" in
-    let mode =
-      match t.mode with Some m -> Printf.sprintf " [%s]" m | None -> ""
-    in
     let body =
-      Printf.sprintf "\r%s%s %d/%d (%.0f%%) %.1f/s%s%s%s%s" t.label mode
-        t.done_ t.total
+      Printf.sprintf "\r%s %d/%d (%.0f%%) %.1f/s%s%s%s" t.label t.done_
+        t.total
         (100.0 *. float_of_int t.done_ /. float_of_int t.total)
-        rate eta deadline tallies retries
+        rate eta deadline tallies
     in
     let pad = max 0 (t.width - String.length body) in
     t.width <- max t.width (String.length body);

@@ -2,10 +2,9 @@
 
     A single self-overwriting line — completion, rate, ETA, time to the
     degradation deadline, and per-category tallies (Detected / Survived
-    / shed / ...), with the run's retry count appended when nonzero —
-    driven from the {!Pool}'s [on_result] hook (or any per-item
-    completion callback).  Rendering is throttled to ~10 redraws/s, so
-    stepping on every result is cheap.
+    / shed / ...) — driven from the {!Dpool}'s [on_result] hook (or
+    any per-item completion callback).  Rendering is throttled to ~10
+    redraws/s, so stepping on every result is cheap.
 
     Deliberately dumb about its output: one carriage-return line on
     stderr, no cursor addressing, and {!create} returns [None] unless
@@ -16,19 +15,17 @@ type t
 
 val create :
   ?force:bool ->
-  ?mode:string ->
   ?deadline_at:float ->
   label:string ->
   total:int ->
   unit ->
   t option
 (** [None] when [total <= 0] or stderr is not a TTY (unless [force]).
-    [mode] names the active executor ("fork" / "domains" / "seq"),
-    shown bracketed after the label.  [deadline_at] is the campaign's
-    absolute degradation deadline (compare {!Dfv_fault.Campaign}) —
-    when given, the remaining wall clock to it is shown alongside the
-    ETA.  Before any item completes (or within clock resolution of the
-    start) the ETA renders as ["--"], never [inf]/[nan]. *)
+    [deadline_at] is the campaign's absolute degradation deadline
+    (compare {!Dfv_fault.Campaign}) — when given, the remaining wall
+    clock to it is shown alongside the ETA.  Before any item completes
+    (or within clock resolution of the start) the ETA renders as
+    ["--"], never [inf]/[nan]. *)
 
 val step : t -> string -> unit
 (** Count one completed item under a category tag and redraw. *)

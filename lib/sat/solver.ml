@@ -662,13 +662,18 @@ let solve ?(assumptions = []) s =
               raise (Out_of_budget Conflict_limit)
             end
           end;
-          if
-            s.deadline < infinity
-            && s.conflicts land 63 = 0
-            && Unix.gettimeofday () > s.deadline
-          then begin
-            cancel_until s 0;
-            raise (Out_of_budget Time_limit)
+          if s.conflicts land 63 = 0 then begin
+            if s.deadline < infinity && Unix.gettimeofday () > s.deadline
+            then begin
+              cancel_until s 0;
+              raise (Out_of_budget Time_limit)
+            end;
+            (* The same cadence serves the pool's stop token, which
+               unwinds the job rather than answering [Unknown]. *)
+            if Stop.stopped () then begin
+              cancel_until s 0;
+              raise Stop.Stopped
+            end
           end;
           decr budget;
           if decision_level s <= n_assumps then begin
@@ -831,6 +836,9 @@ let solve_budgeted ?assumptions ?(budget = no_budget) s : outcome =
   | exception Out_of_budget reason ->
     restore ();
     Unknown reason
+  | exception Stop.Stopped ->
+    restore ();
+    raise Stop.Stopped
 
 let solve_bounded ?assumptions ~max_conflicts s =
   let budget = { max_conflicts = Some max_conflicts; max_seconds = None } in

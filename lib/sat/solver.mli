@@ -83,7 +83,12 @@ val solve : ?assumptions:Lit.t list -> t -> result
 (** [solve ~assumptions s] decides satisfiability of the added clauses
     under the given assumption literals.  The solver remains usable
     afterwards: more variables and clauses may be added and [solve] may
-    be called again (incremental use). *)
+    be called again (incremental use).
+
+    Every 64 conflicts the search also polls the calling domain's
+    {!Stop} token, and raises {!Stop.Stopped} (backtracked to level 0,
+    still usable) when the pool has cancelled the job.  The same holds
+    for {!solve_budgeted} and {!solve_bounded}. *)
 
 type outcome =
   | Sat

@@ -185,9 +185,10 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
 (* Rebuild a full counterexample from the SLM argument assignment alone:
    re-run the SLM interpreter for the expected result and re-simulate
    the RTL on the concrete stimulus for the actual diverging values.
-   The assignment fully determines the cex, which lets a portfolio
-   worker ship only [params] (plain bitvectors) over its result pipe
-   and the parent reconstruct the rest here. *)
+   The assignment fully determines the cex, which lets a journal
+   record, a serve cache entry or a client response carry only
+   [params] (plain bitvectors) and the reader reconstruct the rest
+   here. *)
 let rebuild_cex ~slm ~rtl ~spec params =
   let slm_result =
     match Interp.run slm (List.map snd params) with

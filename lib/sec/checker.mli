@@ -75,10 +75,10 @@ val cex_of_params :
     the SLM interpreter for [slm_result] and re-simulate the RTL on the
     concrete stimulus ({!Spec.replay}, {!Spec.failed_checks}) for
     [failed_checks].  The assignment determines the counterexample
-    completely, so a worker process (see {!Dfv_par.Portfolio}) can ship
-    just the parameter bitvectors over its result pipe and the parent
-    reconstructs the rest here.  Raises {!Spec_error} when
-    {!Spec.validate} rejects [spec]. *)
+    completely, so a portfolio journal, a serve cache entry or a client
+    response (see {!Dfv_par.Portfolio}) carries just the parameter
+    bitvectors and the reader reconstructs the rest here.  Raises
+    {!Spec_error} when {!Spec.validate} rejects [spec]. *)
 
 val check_slm_rtl :
   ?sweep:bool ->

@@ -1,9 +1,8 @@
 (** The [dfv serve] wire protocol: line-framed JSON requests and
     responses over a Unix-domain socket.
 
-    Framing follows the [dfv-par] worker pipe discipline — one complete
-    JSON object per newline-terminated line — and every frame carries
-    the common artifact envelope
+    Framing is one complete JSON object per newline-terminated line,
+    and every frame carries the common artifact envelope
     [{"schema":"dfv-serve","version":1,"kind":...}].  Two frame kinds:
 
     {v

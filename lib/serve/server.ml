@@ -78,9 +78,8 @@ type solvable =
     }
 
 (* Runs inside a pool worker.  Campaigns run with the per-mutant pool
-   disabled: the server's executor is the parallelism, and forking
-   again inside a forked worker (or inside a domain) is exactly the
-   layering the executors forbid. *)
+   disabled: the server's executor is the parallelism, and a pool
+   inside a pooled job would only contend with it. *)
 let solve = function
   | J_sec (pair, budget) ->
     let v = Flow.sec ?budget pair in
@@ -105,19 +104,6 @@ let solve = function
       Campaign.json_of_reports ~min_rate:Suite.default_min_rate reports
     in
     Ok (Protocol.R_faultsim { f_pass; f_rate; f_false_eq; f_report })
-
-let solved_to_json = function
-  | Ok p -> Json.Obj [ ("ok", Protocol.payload_to_json p) ]
-  | Error e -> Json.Obj [ ("err", Dfv_error.to_json e) ]
-
-let solved_of_json v =
-  match (Json.field "ok" v, Json.field "err" v) with
-  | Some p, _ -> Result.map (fun p -> Ok p) (Protocol.payload_of_json p)
-  | _, Some e -> (
-    match Dfv_error.of_json e with
-    | Ok e -> Ok (Error e)
-    | Error m -> Error m)
-  | None, None -> Error "bad solved frame"
 
 (* --- clients ------------------------------------------------------------ *)
 
@@ -389,10 +375,8 @@ let serve_batch st batch =
         ~args:[ ("solves", Json.Int (List.length keys)) ]
         "serve.solve_batch"
         (fun () ->
-          Dpool.map_auto ~jobs:st.cfg.jobs ~exec:`Auto
+          Dpool.map ~jobs:st.cfg.jobs
             ~label:(fun i -> "serve:" ^ (rep (List.nth keys i)).p_name)
-            ~encode:solved_to_json
-            ~decode:solved_of_json
             (fun key -> solve (rep key).p_job)
             keys)
     in

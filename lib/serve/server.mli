@@ -14,10 +14,11 @@
     structural fingerprint, probed against the cache (hits answered
     immediately), and the misses — {e coalesced} so concurrent
     duplicates cost one solve — are dispatched as one
-    {!Dfv_par.Dpool.map_auto} batch, which with no timeout runs on
-    in-process domains.  Campaigns inside a worker run with their own
-    per-mutant pool disabled; the server's executor is the only layer
-    of parallelism.
+    {!Dfv_par.Dpool.map} batch on in-process domains.  Campaigns inside
+    a worker run with their own per-mutant pool disabled; the server's
+    executor is the only layer of parallelism.  On
+    {!Dfv_par.Pool.request_stop} the solves in flight stop at their
+    next poll and are answered with an [Interrupted] error.
 
     Successful verdicts enter the cache (and its optional disk store,
     journaled before the response is written); errors are returned but

@@ -15,8 +15,8 @@ let alu_pair ?bug () =
   let t = Alu.make ?bug ~width:8 () in
   Pair.create ~name:"alu" ~slm:t.Alu.slm ~rtl:t.Alu.rtl ~spec:t.Alu.spec
 
-(* The worker pool carries taxonomy values across the result pipe as
-   JSON, so to_json/of_json must invert exactly for every constructor. *)
+(* Journals and the serve protocol carry taxonomy values as JSON, so
+   to_json/of_json must invert exactly for every constructor. *)
 let test_error_json_roundtrip () =
   let cases =
     [ Dfv_error.Stimulus_exhausted
@@ -444,6 +444,21 @@ let test_chain_plug_and_play_stages () =
   let rtl_out, _ = Dfv_cosim.Stream.run_stage rtl_stage pixels in
   check_bool "streams equal" true (Array.for_all2 Bitvec.equal slm_out rtl_out)
 
+(* A cancelled pool job stops between transactions: the stop unwinds
+   through the flow's own guard (which lets it pass, like [Sys.Break])
+   instead of coming back as an error verdict. *)
+let test_flow_simulate_stops () =
+  let cancelled = Dfv_sat.Stop.token (Atomic.make true) in
+  (match
+     Dfv_sat.Stop.with_token cancelled (fun () ->
+         Flow.simulate ~vectors:10 (alu_pair ()))
+   with
+  | _ -> Alcotest.fail "a cancelled token must stop the simulation"
+  | exception Dfv_sat.Stop.Stopped -> ());
+  match Dfv_error.guard (fun () -> raise Dfv_sat.Stop.Stopped) with
+  | _ -> Alcotest.fail "guard must let the stop through"
+  | exception Dfv_sat.Stop.Stopped -> ()
+
 let suite =
   [ Alcotest.test_case "error taxonomy json roundtrip" `Quick
       test_error_json_roundtrip;
@@ -477,4 +492,6 @@ let suite =
       test_chain_incremental_localization;
     Alcotest.test_case "chain golden = slm" `Quick test_chain_golden_matches_slm;
     Alcotest.test_case "plug-and-play stages" `Quick
-      test_chain_plug_and_play_stages ]
+      test_chain_plug_and_play_stages;
+    Alcotest.test_case "simulate stops at a cancelled token" `Quick
+      test_flow_simulate_stops ]

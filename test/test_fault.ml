@@ -4,6 +4,7 @@
 
 open Dfv_rtl
 open Dfv_fault
+module Journal = Dfv_par.Journal
 
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
@@ -140,59 +141,69 @@ let test_campaign_survives_crashing_mutant () =
      by crashing instead of verifying. *)
   check_bool "rate dented" true (Campaign.detection_rate [ r ] < 1.0)
 
-(* Acceptance: a worker killed mid-job (models a segfault or OOM kill)
-   must leave the campaign alive, with that one mutant Crashed on a
-   Worker_crashed — distinct from the structured Internal a raising
-   mutant produces, and distinct from the Unknown a timed-out one
-   produces. *)
-let test_pooled_killed_worker () =
-  let kill_self =
-    Campaign.Custom_mutant
-      {
-        cm_name = "kill-self";
-        cm_run =
-          (fun () ->
-            Unix.kill (Unix.getpid ()) Sys.sigkill;
-            false);
-      }
-  in
-  let boom =
-    Campaign.Custom_mutant
-      { cm_name = "boom"; cm_run = (fun () -> failwith "boom") }
+(* SIGINT reaches a mutant in flight: a mutant that raises the stop flag
+   (as the CLI's signal handler does) and then polls ends Interrupted,
+   as does every mutant after it, and none of them is journaled, so a
+   resume re-runs them.  The mutant before it keeps its verdict. *)
+let test_stop_reaches_running_mutant () =
+  let path = Filename.temp_file "dfv_sigint" ".jsonl" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () ->
+      Dfv_par.Pool.reset_stop ();
+      if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let custom name run = Campaign.Custom_mutant { cm_name = name; cm_run = run } in
+  let j =
+    match Journal.open_ ~path ~campaign:"sigint" with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "journal: %s" m
   in
   let r =
-    Campaign.run ?budget ~jobs:2 ~exec:`Fork ~max_rtl_faults:4
-      ~max_slm_faults:2 ~extra_mutants:[ kill_self; boom ]
+    Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
+    Campaign.run ?budget ~jobs:1 ~journal:j ~max_rtl_faults:0
+      ~max_slm_faults:0
+      ~extra_mutants:
+        [ custom "before" (fun () -> true);
+          custom "sigint" (fun () ->
+              Dfv_par.Pool.request_stop ();
+              Dfv_sat.Stop.poll ();
+              true);
+          custom "after" (fun () -> true) ]
       (Campaign.Sec_pair (alu_pair ()))
   in
-  check_int "both degraded to Crashed" 2 r.Campaign.r_crashed;
-  check_bool "rest of the campaign completed" true (r.Campaign.r_detected >= 1);
   let verdict_of name =
     (List.find (fun m -> m.Campaign.m_name = name) r.Campaign.r_results)
       .Campaign.verdict
   in
-  (match verdict_of "kill-self" with
-  | Campaign.Crashed (Dfv_core.Dfv_error.Worker_crashed _) -> ()
-  | v ->
-    Alcotest.failf "kill-self should be Worker_crashed, got %s"
-      (Campaign.verdict_label v));
-  match verdict_of "boom" with
-  | Campaign.Crashed (Dfv_core.Dfv_error.Internal m) ->
-    Alcotest.(check string) "raise stays structured across the pipe" "boom" m
-  | v ->
-    Alcotest.failf "boom should be Crashed (Internal), got %s"
-      (Campaign.verdict_label v)
+  (match verdict_of "before" with
+  | Campaign.Detected _ -> ()
+  | v -> Alcotest.failf "before: %s" (Campaign.verdict_label v));
+  List.iter
+    (fun name ->
+      match verdict_of name with
+      | Campaign.Unknown { reason; _ } ->
+        check_bool (name ^ " interrupted") true
+          (String.starts_with ~prefix:"interrupted before" reason)
+      | v -> Alcotest.failf "%s: expected Unknown, got %s" name
+               (Campaign.verdict_label v))
+    [ "sigint"; "after" ];
+  match Journal.inspect path with
+  | Ok info ->
+    check_int "only the finished mutant journaled" 1
+      (List.length info.Journal.info_records)
+  | Error m -> Alcotest.failf "inspect: %s" m
 
-(* The flow's guard re-raises [Stack_overflow]; every executor's
-   catch-all must still contain it, so a mutant that overflows is
-   [Crashed (Internal _)] and the campaign completes on each path. *)
-let check_stack_overflow_contained ?jobs ?exec leg =
+(* The flow's guard re-raises [Stack_overflow]; the executor's catch-all
+   must still contain it, so a mutant that overflows is
+   [Crashed (Internal _)] and the campaign completes at any job count. *)
+let check_stack_overflow_contained ?jobs leg =
   let deep =
     Campaign.Custom_mutant
       { cm_name = "deep"; cm_run = (fun () -> raise Stack_overflow) }
   in
   let r =
-    Campaign.run ?budget ?jobs ?exec ~max_rtl_faults:4 ~max_slm_faults:2
+    Campaign.run ?budget ?jobs ~max_rtl_faults:4 ~max_slm_faults:2
       ~extra_mutants:[ deep ]
       (Campaign.Sec_pair (alu_pair ()))
   in
@@ -210,12 +221,13 @@ let check_stack_overflow_contained ?jobs ?exec leg =
       (Campaign.verdict_label v)
 
 let test_stack_overflow_contained () =
-  check_stack_overflow_contained ~jobs:1 "in-process";
-  check_stack_overflow_contained ~jobs:2 ~exec:`Fork "fork"
+  check_stack_overflow_contained ~jobs:1 "in-process"
 
 (* A wedged mutant under a wall-clock budget is a justified Unknown
    (budget-like), never a Crashed: the distinction feeds the gate, which
-   tolerates unknowns but not silent crashes. *)
+   tolerates unknowns but not silent crashes.  The sleeper polls its stop
+   token, as the solver, the sweep and the simulation flow do; a
+   cooperative deadline cannot stop a bare [Unix.sleep]. *)
 let test_pooled_timeout_is_unknown () =
   let sleeper =
     Campaign.Custom_mutant
@@ -223,12 +235,15 @@ let test_pooled_timeout_is_unknown () =
         cm_name = "sleeper";
         cm_run =
           (fun () ->
-            Unix.sleep 60;
+            for _ = 1 to 60_000 do
+              Dfv_sat.Stop.poll ();
+              Unix.sleepf 0.001
+            done;
             false);
       }
   in
   let r =
-    Campaign.run ?budget ~jobs:2 ~timeout:2.0 ~max_rtl_faults:4
+    Campaign.run ?budget ~jobs:1 ~timeout:2.0 ~max_rtl_faults:4
       ~max_slm_faults:2 ~extra_mutants:[ sleeper ]
       (Campaign.Sec_pair (alu_pair ()))
   in
@@ -265,8 +280,6 @@ let test_json_report () =
   check_bool "verdicts serialized" true (contains "\"verdict\":\"detected\"")
 
 (* --- durability: kill-mid-campaign resume, deadline shedding ---------- *)
-
-module Journal = Dfv_par.Journal
 
 (* A report with every timing zeroed: what "byte-identical (timings
    aside)" means, made executable. *)
@@ -360,15 +373,15 @@ let test_campaign_deadline_sheds () =
   check_bool "rate unaffected" true
     (Campaign.detection_rate [ r ] = 1.0)
 
-(* Journal resume on the domains executor: the same kill-mid-campaign
-   scenario as test_campaign_resume_byte_identical, with the pooled legs
-   running on in-process domains instead of forked workers.  It is in
-   [domains_suite], which runs in its own process: OCaml 5 forbids
-   Unix.fork once a process has spawned a domain. *)
+(* Journal resume on two workers: the same kill-mid-campaign scenario
+   as test_campaign_resume_byte_identical, with the legs running on
+   in-process domains.  It is in [domains_suite], which runs in its own
+   process: OCaml 5 forbids Unix.fork once a process has spawned a
+   domain. *)
 let test_campaign_resume_on_domains () =
   let subject () = Campaign.Sec_pair (alu_pair ()) in
   let run ?journal () =
-    Campaign.run ?budget ~jobs:2 ~pool:true ~exec:`Domains ~max_rtl_faults:6
+    Campaign.run ?budget ~jobs:2 ~pool:true ~max_rtl_faults:6
       ~max_slm_faults:2 ?journal (subject ())
   in
   let reference = run () in
@@ -411,7 +424,7 @@ let test_campaign_resume_on_domains () =
     resumed.Campaign.r_total
 
 let test_stack_overflow_contained_on_domains () =
-  check_stack_overflow_contained ~jobs:2 ~exec:`Domains "domains"
+  check_stack_overflow_contained ~jobs:2 "domains"
 
 let domains_suite =
   [ Alcotest.test_case "domains campaign journal resume is byte-identical"
@@ -427,9 +440,9 @@ let suite =
     Alcotest.test_case "alu campaign gate" `Quick test_alu_campaign_gate;
     Alcotest.test_case "campaign survives crashing mutant" `Quick
       test_campaign_survives_crashing_mutant;
-    Alcotest.test_case "pooled campaign: killed worker is Crashed" `Quick
-      test_pooled_killed_worker;
-    Alcotest.test_case "stack overflow is Crashed in-process and forked"
+    Alcotest.test_case "a stop reaches the running mutant, unjournaled"
+      `Quick test_stop_reaches_running_mutant;
+    Alcotest.test_case "stack overflow is Crashed in-process at one worker"
       `Quick test_stack_overflow_contained;
     Alcotest.test_case "pooled campaign: timeout is Unknown" `Slow
       test_pooled_timeout_is_unknown;

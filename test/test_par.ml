@@ -1,30 +1,30 @@
-(* The fork-based worker pool: ordering, determinism across job counts,
-   crash isolation (a killed worker is a recorded error, not a dead
-   run), per-job timeouts, and portfolio cancellation. *)
+(* The worker pool: ordering, determinism across job counts, stop
+   tokens (a race cancels its losers, a deadline stops a job, an operator
+   stop reaches jobs in flight), the SEC portfolio and the journal.  The
+   tests in [suite] run in test_main and never spawn a domain; the ones
+   in [domains_suite] do. *)
 
 module Pool = Dfv_par.Pool
+module Dpool = Dfv_par.Dpool
 module Portfolio = Dfv_par.Portfolio
+module Stop = Dfv_sat.Stop
 module Dfv_error = Dfv_core.Dfv_error
 module Json = Dfv_obs.Json
 module Checker = Dfv_sec.Checker
-
-let encode_int i = Json.Int i
-
-let decode_int = function
-  | Json.Int i -> Ok i
-  | _ -> Error "expected int"
 
 let ok = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected pool error: %s" (Dfv_error.to_string e)
 
+(* A job that only ends when its token stops it. *)
+let rec spin () =
+  Stop.poll ();
+  Unix.sleepf 0.001;
+  spin ()
+
 let test_map_order () =
   let inputs = [ 5; 3; 9; 1; 7; 2 ] in
-  let out =
-    Pool.map ~jobs:3 ~encode:encode_int ~decode:decode_int
-      (fun x -> x * x)
-      inputs
-  in
+  let out = Dpool.map ~jobs:1 (fun x -> x * x) inputs in
   Alcotest.(check (list int))
     "squares in input order"
     (List.map (fun x -> x * x) inputs)
@@ -32,16 +32,11 @@ let test_map_order () =
 
 let test_map_jobs_invariant () =
   let inputs = List.init 9 (fun i -> i) in
-  let run jobs =
-    Pool.map ~jobs ~encode:encode_int ~decode:decode_int
-      (fun x -> (x * 31) + 7)
-      inputs
-    |> List.map ok
-  in
+  let run jobs = Dpool.map ~jobs (fun x -> (x * 31) + 7) inputs |> List.map ok in
   Alcotest.(check (list int)) "jobs=1 equals jobs=4" (run 1) (run 4)
 
 let test_map_empty () =
-  let out = Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int (fun x -> x) [] in
+  let out = Dpool.map ~jobs:2 (fun x -> x) [] in
   Alcotest.(check int) "no outcomes" 0 (List.length out)
 
 let test_job_seed_deterministic () =
@@ -56,124 +51,144 @@ let test_job_seed_deterministic () =
     (Pool.job_seed ~seed:1 3 <> Pool.job_seed ~seed:2 3);
   Alcotest.(check bool) "non-negative" true (Pool.job_seed ~seed:0 0 >= 0)
 
-(* A worker that SIGKILLs itself mid-job models a segfault / OOM kill:
-   the pool must record Worker_crashed for that job and still deliver
-   every other result. *)
-let test_worker_killed () =
+(* The caller is worker 0, so its token must come back after every job:
+   a race won by job 0 and a job stopped by its deadline both leave the
+   caller's later work unstopped. *)
+let test_caller_token_restored () =
+  Alcotest.(check bool) "inert before" false (Stop.stopped ());
+  let r =
+    Dpool.race ~jobs:1 ~conclusive:(fun v -> v > 0) (fun x -> x + 1) [ 0; 1 ]
+  in
+  Alcotest.(check bool) "job 0 won" true (r.Dpool.winner = Some (0, 1));
+  Alcotest.(check bool) "inert after a won race" false (Stop.stopped ());
+  (match Dpool.map ~jobs:1 ~timeout:0.02 (fun () -> spin ()) [ () ] with
+  | [ Error (Dfv_error.Worker_timeout _) ] -> ()
+  | _ -> Alcotest.fail "expected the spinning job to time out");
+  Alcotest.(check bool) "inert after a timeout" false (Stop.stopped ());
+  Stop.poll ()
+
+(* An operator stop reaches the job that is running: it ends at its next
+   poll, as Interrupted, and no later job starts. *)
+let test_stop_reaches_running_job () =
+  Fun.protect ~finally:Pool.reset_stop @@ fun () ->
+  let started = ref [] in
   let out =
-    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
+    Dpool.map ~jobs:1
       (fun x ->
-        if x = 1 then Unix.kill (Unix.getpid ()) Sys.sigkill;
-        x * 10)
+        started := x :: !started;
+        if x = 1 then begin
+          Pool.request_stop ();
+          spin ()
+        end
+        else x)
       [ 0; 1; 2 ]
   in
-  let contains hay needle =
-    let h = String.length hay and n = String.length needle in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    n = 0 || go 0
-  in
-  (match out with
-  | [ Ok 0; Error (Dfv_error.Worker_crashed { detail; _ }); Ok 20 ] ->
-    Alcotest.(check bool)
-      "detail names the signal" true
-      (contains detail "SIGKILL" || contains detail "signal")
-  | _ -> Alcotest.fail "expected [Ok 0; Error Worker_crashed; Ok 20]")
-
-(* A worker raising stays an in-taxonomy error (carried across the pipe
-   as structured JSON), distinct from a crash. *)
-let test_worker_raises () =
-  let out =
-    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
-      (fun x -> if x = 1 then failwith "boom" else x)
-      [ 0; 1 ]
-  in
+  Alcotest.(check (list int)) "job 2 never started" [ 1; 0 ] !started;
   match out with
-  | [ Ok 0; Error (Dfv_error.Internal m) ] ->
-    Alcotest.(check string) "message survives the pipe" "boom" m
-  | _ -> Alcotest.fail "expected [Ok 0; Error Internal]"
+  | [ Ok 0; Error (Dfv_error.Interrupted _); Error (Dfv_error.Interrupted _) ]
+    ->
+    ()
+  | _ -> Alcotest.fail "expected [Ok 0; Interrupted; Interrupted]"
 
-(* A worker exceeding the wall-clock budget is killed and reported as
-   Worker_timeout — never blocks the campaign. *)
+(* A deadline unwinds the job through its stop token: the solver must not
+   answer the budget-style [Unknown Time_limit], which a campaign would
+   journal as a verdict. *)
+let test_deadline_is_not_unknown () =
+  let t = Dfv_designs.Image_chain.make () in
+  let pair =
+    Dfv_core.Pair.create ~name:"chain" ~slm:t.Dfv_designs.Image_chain.slm
+      ~rtl:t.Dfv_designs.Image_chain.rtl_top
+      ~spec:t.Dfv_designs.Image_chain.chain_spec
+  in
+  let t0 = Unix.gettimeofday () in
+  match Dpool.map ~jobs:1 ~timeout:0.05 (fun p -> Dfv_core.Flow.sec p) [ pair ]
+  with
+  | [ Error (Dfv_error.Worker_timeout { seconds; _ }) ] ->
+    Alcotest.(check bool) "budget recorded" true (seconds = 0.05);
+    Alcotest.(check bool)
+      "stopped long before the proof ends" true
+      (Unix.gettimeofday () -. t0 < 1.0)
+  | [ Ok (Checker.Unknown _) ] ->
+    Alcotest.fail "the deadline surfaced as a solver Unknown"
+  | _ -> Alcotest.fail "expected [Error Worker_timeout]"
+
+(* A job still running past its deadline stops at its next poll and is
+   reported as Worker_timeout — it never blocks the campaign. *)
 let test_worker_timeout () =
   let t0 = Unix.gettimeofday () in
   let out =
-    Pool.map ~jobs:2 ~timeout:0.5 ~heartbeat:0.1
-      ~label:(Printf.sprintf "job%d")
-      ~encode:encode_int ~decode:decode_int
+    Dpool.map ~jobs:1 ~timeout:0.5 ~label:(Printf.sprintf "job%d")
       (fun x ->
-        if x = 1 then Unix.sleep 60;
+        if x = 1 then spin ();
         x)
-      [ 0; 1 ]
-  in
-  let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "killed promptly, not after 60s" true (elapsed < 30.0);
-  match out with
-  | [ Ok 0; Error (Dfv_error.Worker_timeout { job; seconds }) ] ->
-    Alcotest.(check string) "labelled" "job1" job;
-    Alcotest.(check bool) "budget recorded" true (seconds = 0.5)
-  | _ -> Alcotest.fail "expected [Ok 0; Error Worker_timeout]"
-
-(* A worker wedged where no heartbeat can fire (SIGALRM ignored, blocked
-   in a sleep) is killed after 20 silent heartbeat periods.  The crash
-   counts as transient, so the job is retried, and once its retries are
-   used up the Worker_crashed stands. *)
-let test_heartbeat_kill () =
-  let attempts = Dfv_obs.Metrics.counter "pool.retry.attempts" in
-  let exhausted = Dfv_obs.Metrics.counter "pool.retry.exhausted" in
-  let attempts0 = Dfv_obs.Metrics.counter_value attempts in
-  let exhausted0 = Dfv_obs.Metrics.counter_value exhausted in
-  let out =
-    Pool.map ~jobs:1 ~heartbeat:0.05 ~encode:encode_int ~decode:decode_int
-      (fun x ->
-        Sys.set_signal Sys.sigalrm Sys.Signal_ignore;
-        Unix.sleepf 30.0;
-        x)
-      [ 0 ]
-  in
-  (match out with
-  | [ Error (Dfv_error.Worker_crashed { detail; _ }) ] ->
-    Alcotest.(check bool)
-      "detail names the missing heartbeat" true
-      (String.starts_with ~prefix:"no heartbeat" detail)
-  | _ -> Alcotest.fail "expected [Error Worker_crashed]");
-  Alcotest.(check int)
-    "both retries attempted" (attempts0 + 2)
-    (Dfv_obs.Metrics.counter_value attempts);
-  Alcotest.(check int)
-    "retries exhausted" (exhausted0 + 1)
-    (Dfv_obs.Metrics.counter_value exhausted)
-
-(* Race: the first conclusive result wins and the stragglers are
-   cancelled (their outcomes stay None). *)
-let test_race_cancels () =
-  let t0 = Unix.gettimeofday () in
-  let r =
-    Pool.race ~jobs:3 ~heartbeat:0.1 ~encode:encode_int ~decode:decode_int
-      ~conclusive:(fun v -> v >= 0)
-      (fun x ->
-        if x = 0 then 100 else (Unix.sleep 60; -1))
       [ 0; 1; 2 ]
   in
   let elapsed = Unix.gettimeofday () -. t0 in
-  Alcotest.(check bool) "returned promptly" true (elapsed < 30.0);
-  (match r.Pool.winner with
+  Alcotest.(check bool) "stopped promptly, not never" true (elapsed < 30.0);
+  match out with
+  | [ Ok 0; Error (Dfv_error.Worker_timeout { job; seconds }); Ok 2 ] ->
+    Alcotest.(check string) "labelled" "job1" job;
+    Alcotest.(check bool) "budget recorded" true (seconds = 0.5)
+  | _ -> Alcotest.fail "expected [Ok 0; Error Worker_timeout; Ok 2]"
+
+(* Each job's deadline counts from its own start, not from the map's:
+   three jobs that each poll for 120 ms under a 300 ms timeout all
+   finish, though together they outlast it. *)
+let test_deadline_per_job () =
+  let busy x =
+    let until = Unix.gettimeofday () +. 0.12 in
+    while Unix.gettimeofday () < until do
+      Stop.poll ();
+      Unix.sleepf 0.001
+    done;
+    x
+  in
+  let out = Dpool.map ~jobs:1 ~timeout:0.3 busy [ 0; 1; 2 ] in
+  Alcotest.(check (list int)) "every job finished" [ 0; 1; 2 ] (List.map ok out)
+
+(* A deadline is honoured at a poll, so a job that finishes late without
+   polling keeps its result: the token never reaches a job outside the
+   solver, the sweep and the simulation flow. *)
+let test_late_job_keeps_result () =
+  match
+    Dpool.map ~jobs:1 ~timeout:0.01
+      (fun x ->
+        Unix.sleepf 0.03;
+        x)
+      [ 7 ]
+  with
+  | [ Ok 7 ] -> ()
+  | _ -> Alcotest.fail "expected [Ok 7]"
+
+(* Race at one worker: the first conclusive result wins and the
+   stragglers are cancelled before they start (their outcomes stay
+   None). *)
+let test_race_cancels () =
+  let started = ref [] in
+  let r =
+    Dpool.race ~jobs:1
+      ~conclusive:(fun v -> v >= 0)
+      (fun x ->
+        started := x :: !started;
+        if x = 0 then 100 else spin ())
+      [ 0; 1; 2 ]
+  in
+  Alcotest.(check (list int)) "no straggler started" [ 0 ] !started;
+  (match r.Dpool.winner with
   | Some (0, 100) -> ()
   | _ -> Alcotest.fail "expected job 0 to win with 100");
   Alcotest.(check bool)
     "losers cancelled" true
-    (r.Pool.outcomes.(1) = None && r.Pool.outcomes.(2) = None)
+    (r.Dpool.outcomes.(1) = None && r.Dpool.outcomes.(2) = None)
 
 let test_race_no_conclusive () =
   let r =
-    Pool.race ~jobs:2 ~encode:encode_int ~decode:decode_int
-      ~conclusive:(fun _ -> false)
-      (fun x -> x + 1)
-      [ 0; 1 ]
+    Dpool.race ~jobs:1 ~conclusive:(fun _ -> false) (fun x -> x + 1) [ 0; 1 ]
   in
-  Alcotest.(check bool) "no winner" true (r.Pool.winner = None);
+  Alcotest.(check bool) "no winner" true (r.Dpool.winner = None);
   Alcotest.(check bool)
     "all outcomes filled" true
-    (r.Pool.outcomes.(0) = Some (Ok 1) && r.Pool.outcomes.(1) = Some (Ok 2))
+    (r.Dpool.outcomes.(0) = Some (Ok 1) && r.Dpool.outcomes.(1) = Some (Ok 2))
 
 (* --- portfolio SEC ----------------------------------------------------- *)
 
@@ -183,14 +198,14 @@ let alu_pair () =
 
 let test_portfolio_slm_rtl_equivalent () =
   let slm, rtl, spec = alu_pair () in
-  match Portfolio.check_slm_rtl ~jobs:2 ~slm ~rtl ~spec () with
+  match Portfolio.check_slm_rtl ~jobs:1 ~slm ~rtl ~spec () with
   | Ok (Checker.Equivalent _) -> ()
   | Ok (Checker.Not_equivalent _) -> Alcotest.fail "alu should be equivalent"
   | Ok (Checker.Unknown _) -> Alcotest.fail "alu should be decided"
   | Error e -> Alcotest.failf "portfolio error: %s" (Dfv_error.to_string e)
 
 (* The alu pair with its RTL broken by the first enumerated mutation, so
-   a race must produce (and the parent must reconstruct) a
+   a race must produce (and the caller must reconstruct) a
    counterexample. *)
 let alu_mutant () =
   let slm, rtl, spec = alu_pair () in
@@ -199,7 +214,7 @@ let alu_mutant () =
 
 let test_portfolio_slm_rtl_cex () =
   let slm, rtl, spec = alu_mutant () in
-  match Portfolio.check_slm_rtl ~jobs:2 ~slm ~rtl ~spec () with
+  match Portfolio.check_slm_rtl ~jobs:1 ~slm ~rtl ~spec () with
   | Ok (Checker.Not_equivalent (cex, _)) ->
     Alcotest.(check bool)
       "cex carries parameters" true
@@ -385,8 +400,8 @@ let test_journal_missing_dir () =
   | Ok _ -> Alcotest.fail "a journal under a missing directory must fail"
 
 (* A journaled race: the winning verdict is appended as it lands, a
-   second call on the same journal replays it without starting a worker,
-   and a different budget is a different campaign. *)
+   second call on the same journal replays it without running a
+   strategy, and a different budget is a different campaign. *)
 let test_portfolio_journaled_race () =
   let slm, rtl, spec = alu_mutant () in
   let path = tmp_journal () in
@@ -407,15 +422,15 @@ let test_portfolio_journaled_race () =
       "one strategy journaled" 1
       (List.length info.Journal.info_records)
   | Error m -> Alcotest.failf "inspect: %s" m);
-  let shipped = Dfv_obs.Metrics.counter "pool.telemetry.shipped" in
-  let shipped0 = Dfv_obs.Metrics.counter_value shipped in
+  let solves = Dfv_obs.Metrics.counter "sat.solves" in
+  let solves0 = Dfv_obs.Metrics.counter_value solves in
   let replayed =
     params (Portfolio.check_slm_rtl ~jobs:1 ~journal:path ~slm ~rtl ~spec ())
   in
   Alcotest.(check bool) "replayed params" true (first = replayed);
   Alcotest.(check int)
-    "no worker ran" shipped0
-    (Dfv_obs.Metrics.counter_value shipped);
+    "no strategy ran" solves0
+    (Dfv_obs.Metrics.counter_value solves);
   let budget = { Dfv_sat.Solver.max_conflicts = Some 10; max_seconds = None } in
   match
     Portfolio.check_slm_rtl ~jobs:1 ~budget ~journal:path ~slm ~rtl ~spec ()
@@ -423,43 +438,15 @@ let test_portfolio_journaled_race () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "a different budget must not resume the journal"
 
-(* --- self-healing retry and cooperative stop -------------------------- *)
-
-(* A transient worker crash (dies once, succeeds on retry) is healed by
-   the pool without surfacing an error — visible only in the metrics. *)
-let test_retry_heals_transient_crash () =
-  let marker = Filename.temp_file "dfv_retry" ".marker" in
-  Sys.remove marker;
-  let healed = Dfv_obs.Metrics.counter "pool.retry.healed" in
-  let before = Dfv_obs.Metrics.counter_value healed in
-  let out =
-    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
-      (fun x ->
-        if x = 1 && not (Sys.file_exists marker) then begin
-          close_out (open_out marker);
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-        end;
-        x * 10)
-      [ 0; 1; 2 ]
-  in
-  if Sys.file_exists marker then Sys.remove marker;
-  Alcotest.(check (list int))
-    "crash healed, verdicts unchanged" [ 0; 10; 20 ] (List.map ok out);
-  Alcotest.(check bool)
-    "healed counted in metrics" true
-    (Dfv_obs.Metrics.counter_value healed > before)
+(* --- cooperative stop ---------------------------------------------------- *)
 
 (* After request_stop, a map returns promptly with every unfinished job
-   marked Interrupted (exit code 4 material) — not Worker_crashed. *)
+   marked Interrupted (exit code 4 material). *)
 let test_stop_interrupts_map () =
   Fun.protect ~finally:Pool.reset_stop @@ fun () ->
   Pool.request_stop ();
   Alcotest.(check bool) "stop flag visible" true (Pool.stop_requested ());
-  let out =
-    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
-      (fun x -> x * 10)
-      [ 0; 1; 2 ]
-  in
+  let out = Dpool.map ~jobs:1 (fun x -> x * 10) [ 0; 1; 2 ] in
   List.iter
     (function
       | Error (Dfv_error.Interrupted _ as e) ->
@@ -492,94 +479,58 @@ let telemetry_work x =
   Trace.with_span ~cat:"t" "par.work" (fun () -> ());
   x * 2
 
-let pooled_telemetry jobs =
+(* A campaign's merged telemetry at [jobs] workers: its metrics without
+   timing fields and without the counters that describe the pool's shape
+   (how many payloads were shipped, how many jobs were stolen), its
+   coverage, and its count of mutant spans. *)
+let campaign_telemetry jobs =
+  let pool_shape = [ "pool.telemetry.shipped"; "pool.domains.steals" ] in
+  let strip_shape = function
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (function
+             | "counters", Json.Obj cs ->
+               ( "counters",
+                 Json.Obj
+                   (List.filter (fun (n, _) -> not (List.mem n pool_shape)) cs)
+               )
+             | f -> f)
+           fields)
+    | j -> j
+  in
   Metrics.reset ();
-  Coverage.clear ();
+  Coverage.reset ();
   Coverage.enable ();
   Trace.enable ();
-  let out =
-    Pool.map ~jobs ~encode:encode_int ~decode:decode_int telemetry_work
-      telemetry_inputs
-  in
-  let m = Metrics.strip_timing (Metrics.snapshot ()) in
+  let slm, rtl, spec = alu_pair () in
+  ignore
+    (Dfv_fault.Campaign.run ~seed:0 ~jobs ~max_rtl_faults:4 ~max_slm_faults:2
+       (Dfv_fault.Campaign.Sec_pair
+          (Dfv_core.Pair.create ~name:"alu" ~slm ~rtl ~spec)));
+  let m = strip_shape (Metrics.strip_timing (Metrics.snapshot ())) in
   let c = Coverage.snapshot () in
   let spans =
     List.length
-      (List.filter (fun (n, _, _, _) -> n = "par.work") (Trace.events ()))
+      (List.filter (fun (n, _, _, _) -> n = "fault.mutant") (Trace.events ()))
   in
   Trace.disable ();
   Coverage.disable ();
-  (List.map ok out, Json.to_string m, Json.to_string c, spans)
+  (Json.to_string m, Json.to_string c, spans)
 
-(* The tentpole property: a sharded run's merged telemetry equals the
-   jobs=1 run's byte for byte (timing fields projected away), and both
-   equal an in-process sequential run of the same work. *)
+(* A sharded campaign's merged telemetry equals the sequential run's byte
+   for byte once timing and the pool's own shape are projected away.
+   The sequential run goes first, so it fixes the registries' order. *)
 let test_pool_telemetry_parity () =
-  let out1, m1, c1, spans1 = pooled_telemetry 1 in
-  let out4, m4, c4, spans4 = pooled_telemetry 4 in
-  Alcotest.(check (list int)) "verdicts invariant under jobs" out1 out4;
-  Alcotest.(check string) "merged metrics snapshots byte-identical" m1 m4;
-  Alcotest.(check string) "merged coverage snapshots byte-identical" c1 c4;
-  Alcotest.(check int) "every worker span absorbed (jobs=1)" 6 spans1;
-  Alcotest.(check int) "every worker span absorbed (jobs=4)" 6 spans4;
-  let pooled_count = Metrics.counter_value (Metrics.counter "t.par.count") in
-  let pooled_hist =
-    Metrics.histogram_count (Metrics.histogram "t.par.size")
-  in
-  let pooled_gmax = Metrics.gauge_max (Metrics.gauge "t.par.depth") in
-  let pooled_shipped =
-    Metrics.counter_value (Metrics.counter "pool.telemetry.shipped")
-  in
-  Alcotest.(check int)
-    "one telemetry record per job" (List.length telemetry_inputs)
-    pooled_shipped;
-  (* In-process sequential reference. *)
-  Metrics.reset ();
-  Coverage.clear ();
-  Coverage.enable ();
-  List.iter (fun x -> ignore (telemetry_work x)) telemetry_inputs;
-  Coverage.disable ();
-  Alcotest.(check int)
-    "merged counter equals sequential"
-    (Metrics.counter_value (Metrics.counter "t.par.count"))
-    pooled_count;
-  Alcotest.(check int)
-    "merged histogram count equals sequential"
-    (Metrics.histogram_count (Metrics.histogram "t.par.size"))
-    pooled_hist;
-  Alcotest.(check int)
-    "merged gauge high-water equals sequential"
-    (Metrics.gauge_max (Metrics.gauge "t.par.depth"))
-    pooled_gmax;
-  Coverage.clear ()
+  let m1, c1, spans1 = campaign_telemetry 1 in
+  let m2, c2, spans2 = campaign_telemetry 2 in
+  Alcotest.(check string) "merged metrics snapshots byte-identical" m1 m2;
+  Alcotest.(check string) "merged coverage snapshots byte-identical" c1 c2;
+  Alcotest.(check int) "every mutant span merged" spans1 spans2;
+  Alcotest.(check bool) "spans recorded" true (spans1 > 0);
+  Coverage.reset ()
 
-(* A retried job's telemetry is merged exactly once: only the final
-   (delivered) attempt's record counts; the killed attempt never ships. *)
-let test_telemetry_retry_no_double_count () =
-  let marker = Filename.temp_file "dfv_telem" ".marker" in
-  Sys.remove marker;
-  Metrics.reset ();
-  let out =
-    Pool.map ~jobs:2 ~encode:encode_int ~decode:decode_int
-      (fun x ->
-        Metrics.incr (Metrics.counter "t.par.attempt");
-        if x = 1 && not (Sys.file_exists marker) then begin
-          close_out (open_out marker);
-          Unix.kill (Unix.getpid ()) Sys.sigkill
-        end;
-        x)
-      [ 0; 1; 2 ]
-  in
-  if Sys.file_exists marker then Sys.remove marker;
-  Alcotest.(check (list int)) "crash healed" [ 0; 1; 2 ] (List.map ok out);
-  Alcotest.(check int)
-    "each job merged exactly once despite the retry" 3
-    (Metrics.counter_value (Metrics.counter "t.par.attempt"));
-  Alcotest.(check int)
-    "only delivered attempts shipped" 3
-    (Metrics.counter_value (Metrics.counter "pool.telemetry.shipped"))
-
-(* Journal-resumed campaigns: replayed mutants never fork, so they ship
+(* Journal-resumed campaigns: replayed mutants never run, so they ship
    nothing and merged totals are not double-counted across the resume. *)
 let test_telemetry_journal_resume_no_double_count () =
   let path = Filename.temp_file "dfv_tj" ".journal" in
@@ -595,15 +546,17 @@ let test_telemetry_journal_resume_no_double_count () =
       | Error e -> Alcotest.failf "journal: %s" e
     in
     Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
-    Dfv_fault.Campaign.run ~seed:0 ~jobs:2 ~pool:true ~exec:`Fork
-      ~max_rtl_faults:4 ~max_slm_faults:2 ~journal:j
+    Dfv_fault.Campaign.run ~seed:0 ~jobs:2 ~max_rtl_faults:4
+      ~max_slm_faults:2 ~journal:j
       (Dfv_fault.Campaign.Sec_pair pair)
   in
   Metrics.reset ();
   let r1 = campaign () in
   let shipped = Metrics.counter "pool.telemetry.shipped" in
+  (* One core makes a two-job map a one-worker loop, which ships
+     nothing. *)
   Alcotest.(check bool)
-    "first run ships worker telemetry" true
+    "first run ships worker telemetry" (Pool.cores () > 1)
     (Metrics.counter_value shipped > 0);
   Metrics.reset ();
   let r2 = campaign () in
@@ -627,8 +580,6 @@ let test_telemetry_journal_resume_no_double_count () =
 
 (* These tests form [domains_suite], which runs in its own process: OCaml
    5 forbids Unix.fork in a process that has ever spawned a domain. *)
-
-module Dpool = Dfv_par.Dpool
 
 let test_dpool_map_order () =
   let inputs = [ 5; 3; 9; 1; 7; 2 ] in
@@ -657,7 +608,7 @@ let test_dpool_raise_isolated () =
   | _ -> Alcotest.fail "expected [Ok 0; Error Internal; Ok 2]"
 
 (* After request_stop, no queued job runs and every unfinished slot is
-   Interrupted — same contract as the fork pool's map. *)
+   Interrupted, with two workers as with one. *)
 let test_dpool_stop_interrupts () =
   Fun.protect ~finally:Pool.reset_stop @@ fun () ->
   Pool.request_stop ();
@@ -672,10 +623,7 @@ let test_dpool_stop_interrupts () =
     out
 
 (* Domains telemetry: merged worker-domain sinks equal an in-process
-   sequential run of the same work — same property the fork pool's
-   test_pool_telemetry_parity establishes, on the other executor.  The
-   sequential reference runs in this test (it never forks), so the test
-   is safe after the fork door has closed. *)
+   sequential run of the same work. *)
 let dpool_telemetry jobs =
   Metrics.reset ();
   Coverage.clear ();
@@ -771,105 +719,6 @@ let test_dpool_one_worker_inline () =
     "nothing shipped" 0
     (Metrics.counter_value (Metrics.counter "pool.telemetry.shipped"))
 
-(* --- cross-executor verdict determinism -------------------------------- *)
-
-(* The acceptance bar for the whole executor: a fault campaign's verdict
-   transcript is byte-identical across sequential, fork and domains at
-   any job count — seeds derive from (campaign seed, mutant index), never
-   from the executor. *)
-let campaign_transcript ?pool ?exec ~jobs () =
-  let slm, rtl, spec = alu_pair () in
-  let pair = Dfv_core.Pair.create ~name:"alu" ~slm ~rtl ~spec in
-  let r =
-    Dfv_fault.Campaign.run ~seed:0 ~jobs ?pool ?exec ~max_rtl_faults:4
-      ~max_slm_faults:2
-      (Dfv_fault.Campaign.Sec_pair pair)
-  in
-  List.map
-    (fun (m : Dfv_fault.Campaign.mutant_result) ->
-      Printf.sprintf "%s[%s@%s]=%s" m.Dfv_fault.Campaign.m_name
-        m.Dfv_fault.Campaign.m_class m.Dfv_fault.Campaign.m_site
-        (Dfv_fault.Campaign.verdict_label m.Dfv_fault.Campaign.verdict))
-    r.Dfv_fault.Campaign.r_results
-  |> String.concat "\n"
-
-let test_cross_executor_fork_parity () =
-  let seq = campaign_transcript ~pool:false ~jobs:1 () in
-  Alcotest.(check bool) "transcript non-trivial" true (String.length seq > 0);
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "fork at %d jobs equals sequential" jobs)
-        seq
-        (campaign_transcript ~pool:true ~exec:`Fork ~jobs ()))
-    [ 2; 4 ]
-
-(* Domains legs — recomputes the sequential reference itself (running
-   sequentially never forks), so it stays valid after the door closes. *)
-let test_cross_executor_domains_parity () =
-  let seq = campaign_transcript ~pool:false ~jobs:1 () in
-  List.iter
-    (fun (name, exec, jobs) ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s at %d jobs equals sequential" name jobs)
-        seq
-        (campaign_transcript ~pool:true ~exec ~jobs ()))
-    [ ("domains", `Domains, 1); ("domains", `Domains, 2);
-      ("domains", `Domains, 4); ("auto", `Auto, 3) ]
-
-(* --- dispatch ------------------------------------------------------------ *)
-
-let exec_counters () =
-  ( Metrics.counter_value (Metrics.counter "pool.exec.fork"),
-    Metrics.counter_value (Metrics.counter "pool.exec.domains") )
-
-(* `Auto resolves to exactly one executor per call, read from the call
-   alone: fork iff it has a timeout, domains otherwise, counted only
-   under `Auto so explicit-mode runs keep byte-identical telemetry.
-   Fork legs run first inside the test: on a multicore host the domains
-   legs spawn worker domains and close the fork door for the process. *)
-let test_map_auto_dispatch () =
-  let inputs = [ 1; 2; 3; 4 ] in
-  let expected = List.map (fun x -> x * 2) inputs in
-  let run ?timeout exec inputs =
-    Dpool.map_auto ?timeout ~exec ~encode:encode_int ~decode:decode_int
-      (fun x -> x * 2)
-      inputs
-    |> List.map ok
-  in
-  Alcotest.(check bool)
-    "fork door still open at test start" true (Dpool.fork_available ());
-  (* fork legs *)
-  let f0, d0 = exec_counters () in
-  Alcotest.(check (list int))
-    "timeout verdicts" expected (run ~timeout:30.0 `Auto inputs);
-  let f1, d1 = exec_counters () in
-  Alcotest.(check int) "timeout routed to fork" (f0 + 1) f1;
-  Alcotest.(check int) "timeout: no domains" d0 d1;
-  Alcotest.(check (list int)) "explicit fork verdicts" expected (run `Fork inputs);
-  let f2, d2 = exec_counters () in
-  Alcotest.(check int) "explicit fork uncounted" f1 f2;
-  Alcotest.(check int) "no domains so far" d0 d2;
-  (* domains legs: the door is still open, and a two-job map without a
-     timeout goes to domains all the same — nothing is probed or timed
-     first. *)
-  Alcotest.(check bool)
-    "door open before the first domains leg" true (Dpool.fork_available ());
-  Alcotest.(check (list int)) "two-job verdicts" [ 2; 4 ] (run `Auto [ 1; 2 ]);
-  let f3, d3 = exec_counters () in
-  Alcotest.(check int) "no timeout routed to domains" (d2 + 1) d3;
-  Alcotest.(check int) "no timeout: no fork" f2 f3;
-  Alcotest.(check (list int))
-    "explicit domains verdicts" expected (run `Domains inputs);
-  let f4, d4 = exec_counters () in
-  Alcotest.(check int) "explicit domains uncounted" d3 d4;
-  Alcotest.(check int) "no stray fork dispatch" f3 f4;
-  Alcotest.(check (list int))
-    "auto verdicts after the domains legs" expected (run `Auto inputs);
-  let f5, d5 = exec_counters () in
-  Alcotest.(check int) "routed to domains again" (d4 + 1) d5;
-  Alcotest.(check int) "never to fork" f4 f5
-
 (* The calling domain is worker 0: a map holds at most [min jobs cores]
    domains, and all but one of them are spawned.  The jobs sleep so
    that every worker runs some of them. *)
@@ -922,34 +771,164 @@ let test_dpool_steal_count () =
   Alcotest.(check int) "steals equal the jobs that moved" moved
     (steals () - before)
 
-let test_domains_timeout_rejected () =
-  Alcotest.check_raises "domains + timeout is a caller error"
-    (Invalid_argument
-       "Dpool: per-job timeouts require the fork executor (a domain \
-        cannot be killed preemptively)")
-    (fun () ->
-      ignore
-        (Dpool.map_auto ~exec:`Domains ~timeout:1.0 ~encode:encode_int
-           ~decode:decode_int
-           (fun x -> x)
-           [ 0 ]))
+(* --- verdict determinism ------------------------------------------------ *)
+
+(* The acceptance bar for the executor: a fault campaign's verdict
+   transcript is byte-identical at any job count — seeds derive from
+   (campaign seed, mutant index), never from the worker. *)
+let campaign_transcript ?pool ~jobs () =
+  let slm, rtl, spec = alu_pair () in
+  let pair = Dfv_core.Pair.create ~name:"alu" ~slm ~rtl ~spec in
+  let r =
+    Dfv_fault.Campaign.run ~seed:0 ~jobs ?pool ~max_rtl_faults:4
+      ~max_slm_faults:2
+      (Dfv_fault.Campaign.Sec_pair pair)
+  in
+  List.map
+    (fun (m : Dfv_fault.Campaign.mutant_result) ->
+      Printf.sprintf "%s[%s@%s]=%s" m.Dfv_fault.Campaign.m_name
+        m.Dfv_fault.Campaign.m_class m.Dfv_fault.Campaign.m_site
+        (Dfv_fault.Campaign.verdict_label m.Dfv_fault.Campaign.verdict))
+    r.Dfv_fault.Campaign.r_results
+  |> String.concat "\n"
+
+let test_cross_executor_domains_parity () =
+  let seq = campaign_transcript ~pool:false ~jobs:1 () in
+  Alcotest.(check bool) "transcript non-trivial" true (String.length seq > 0);
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "domains at %d jobs equals sequential" jobs)
+        seq
+        (campaign_transcript ~jobs ()))
+    [ 1; 2; 3; 4 ]
+
+(* --- races and deadlines on two workers --------------------------------- *)
+
+(* A race whose loser would never finish returns as soon as one job
+   concludes: the winner cancels the loser's token in flight.  With two
+   workers the winner waits until the loser runs, so the cancel lands
+   mid-job; then the roles swap, so the loser is the caller's own job.
+   On one core the loser never starts. *)
+let test_race_stops_loser () =
+  let two = min 2 (Pool.cores ()) = 2 in
+  let t0 = Unix.gettimeofday () in
+  let loser_running = Atomic.make false in
+  let race ~winner =
+    Dpool.race ~jobs:2
+      ~conclusive:(fun v -> v > 0)
+      (fun x ->
+        if x = winner then begin
+          while two && not (Atomic.get loser_running) do
+            Domain.cpu_relax ()
+          done;
+          1
+        end
+        else begin
+          Atomic.set loser_running true;
+          spin ()
+        end)
+      [ 0; 1 ]
+  in
+  let r = race ~winner:0 in
+  Alcotest.(check bool) "job 0 won" true (r.Dpool.winner = Some (0, 1));
+  Alcotest.(check bool) "loser has no outcome" true (r.Dpool.outcomes.(1) = None);
+  Alcotest.(check bool) "loser ran on two workers" two (Atomic.get loser_running);
+  if two then begin
+    Atomic.set loser_running false;
+    let r = race ~winner:1 in
+    Alcotest.(check bool) "job 1 won" true (r.Dpool.winner = Some (1, 1));
+    Alcotest.(check bool)
+      "the caller's job was cancelled" true
+      (r.Dpool.outcomes.(0) = None)
+  end;
+  Alcotest.(check bool) "caller's token restored" false (Stop.stopped ());
+  Alcotest.(check bool)
+    "returned promptly" true
+    (Unix.gettimeofday () -. t0 < 30.0)
+
+(* A mutant running chain's unbudgeted proof (about 1.5 s) under a 50 ms
+   timeout: it stops at a poll, becomes Unknown with the worker-timeout
+   reason, is not journaled, and re-runs on resume.  It is the campaign's
+   only mutant, so no verdict depends on host speed. *)
+let test_timeout_chain_mutant () =
+  let t = Dfv_designs.Image_chain.make () in
+  let chain =
+    Dfv_core.Pair.create ~name:"chain" ~slm:t.Dfv_designs.Image_chain.slm
+      ~rtl:t.Dfv_designs.Image_chain.rtl_top
+      ~spec:t.Dfv_designs.Image_chain.chain_spec
+  in
+  let proof =
+    Dfv_fault.Campaign.Custom_mutant
+      {
+        cm_name = "chain-proof";
+        cm_run =
+          (fun () ->
+            match Dfv_core.Flow.sec chain with
+            | Checker.Equivalent _ -> false
+            | _ -> true);
+      }
+  in
+  let path = Filename.temp_file "dfv_timeout" ".jsonl" in
+  Sys.remove path;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+  @@ fun () ->
+  let run () =
+    let j = jok (Journal.open_ ~path ~campaign:"chain-timeout") in
+    let replayed = Journal.replayed j in
+    let slm, rtl, spec = alu_pair () in
+    let r =
+      Fun.protect ~finally:(fun () -> Journal.close j) @@ fun () ->
+      Dfv_fault.Campaign.run ~jobs:2 ~timeout:0.05 ~journal:j
+        ~max_rtl_faults:0 ~max_slm_faults:0 ~extra_mutants:[ proof ]
+        (Dfv_fault.Campaign.Sec_pair
+           (Dfv_core.Pair.create ~name:"alu" ~slm ~rtl ~spec))
+    in
+    (replayed, r)
+  in
+  let check_timed_out leg (r : Dfv_fault.Campaign.report) =
+    match r.Dfv_fault.Campaign.r_results with
+    | [ { Dfv_fault.Campaign.verdict = Dfv_fault.Campaign.Unknown { reason; seconds }; _ } ]
+      ->
+      Alcotest.(check bool)
+        (leg ^ ": worker-timeout reason") true
+        (String.starts_with ~prefix:"worker timed out on chain-proof" reason);
+      Alcotest.(check bool) (leg ^ ": seconds at most 0.1") true (seconds <= 0.1)
+    | _ -> Alcotest.failf "%s: expected one Unknown verdict" leg
+  in
+  let replayed, r = run () in
+  Alcotest.(check int) "fresh journal" 0 replayed;
+  check_timed_out "first run" r;
+  (match Journal.inspect path with
+  | Ok info ->
+    Alcotest.(check int) "nothing journaled" 0
+      (List.length info.Journal.info_records)
+  | Error m -> Alcotest.failf "inspect: %s" m);
+  let solves = Metrics.counter "sat.solves" in
+  let solves0 = Metrics.counter_value solves in
+  let replayed, r = run () in
+  Alcotest.(check int) "nothing replayed on resume" 0 replayed;
+  Alcotest.(check bool)
+    "the proof ran again" true
+    (Metrics.counter_value solves > solves0);
+  check_timed_out "resume" r
 
 let suite =
   [ Alcotest.test_case "map preserves input order" `Quick test_map_order;
-    Alcotest.test_case "map verdicts invariant under jobs" `Quick
-      test_map_jobs_invariant;
+    Alcotest.test_case "a map restores the caller's stop token" `Quick
+      test_caller_token_restored;
     Alcotest.test_case "map of nothing" `Quick test_map_empty;
     Alcotest.test_case "job_seed is a pure spread" `Quick
       test_job_seed_deterministic;
-    Alcotest.test_case "killed worker becomes Worker_crashed" `Quick
-      test_worker_killed;
-    Alcotest.test_case "raised error crosses the pipe structured" `Quick
-      test_worker_raises;
+    Alcotest.test_case "a stop reaches the running job" `Quick
+      test_stop_reaches_running_job;
+    Alcotest.test_case "a deadline is a timeout, never a solver Unknown"
+      `Quick test_deadline_is_not_unknown;
     Alcotest.test_case "slow worker becomes Worker_timeout" `Slow
       test_worker_timeout;
-    Alcotest.test_case "silent worker killed by the heartbeat clock" `Slow
-      test_heartbeat_kill;
-    Alcotest.test_case "race cancels stragglers" `Slow test_race_cancels;
+    Alcotest.test_case "each job's deadline counts from its own start"
+      `Quick test_deadline_per_job;
+    Alcotest.test_case "race cancels stragglers" `Quick test_race_cancels;
     Alcotest.test_case "race with no conclusive result" `Quick
       test_race_no_conclusive;
     Alcotest.test_case "portfolio slm-rtl equivalent" `Quick
@@ -970,23 +949,17 @@ let suite =
       `Quick test_journal_missing_dir;
     Alcotest.test_case "portfolio race resumes from its journal" `Quick
       test_portfolio_journaled_race;
-    Alcotest.test_case "transient worker crash healed by retry" `Quick
-      test_retry_heals_transient_crash;
+    Alcotest.test_case "a late job that never polls keeps its result" `Quick
+      test_late_job_keeps_result;
     Alcotest.test_case "request_stop interrupts a map" `Quick
-      test_stop_interrupts_map;
-    Alcotest.test_case "sharded telemetry merges to the sequential run"
-      `Quick test_pool_telemetry_parity;
-    Alcotest.test_case "retried job telemetry merged exactly once" `Quick
-      test_telemetry_retry_no_double_count;
-    Alcotest.test_case "journal resume ships no duplicate telemetry" `Quick
-      test_telemetry_journal_resume_no_double_count;
-    Alcotest.test_case "campaign verdicts invariant under fork executor"
-      `Quick test_cross_executor_fork_parity ]
+      test_stop_interrupts_map ]
 
-(* The dispatch case comes first: its fork legs need the fork door open. *)
+(* Slots 0 and 9 hold the two-worker race and timeout cases; the last
+   three cases need two workers, so they run here rather than in
+   [suite]. *)
 let domains_suite =
-  [ Alcotest.test_case "adaptive dispatch routes, counts, and sticks" `Quick
-      test_map_auto_dispatch;
+  [ Alcotest.test_case "two-worker race stops its loser in flight" `Quick
+      test_race_stops_loser;
     Alcotest.test_case "dpool map preserves input order" `Quick
       test_dpool_map_order;
     Alcotest.test_case "dpool verdicts invariant under jobs" `Quick
@@ -1003,7 +976,13 @@ let domains_suite =
       test_dpool_caller_is_worker;
     Alcotest.test_case "dpool steal counter equals the jobs that moved"
       `Quick test_dpool_steal_count;
-    Alcotest.test_case "domains executor rejects a timeout" `Quick
-      test_domains_timeout_rejected;
+    Alcotest.test_case "timed-out chain proof is Unknown and re-runs"
+      `Quick test_timeout_chain_mutant;
     Alcotest.test_case "dpool one-worker map runs inline on the caller"
-      `Quick test_dpool_one_worker_inline ]
+      `Quick test_dpool_one_worker_inline;
+    Alcotest.test_case "map verdicts invariant under jobs" `Quick
+      test_map_jobs_invariant;
+    Alcotest.test_case "sharded telemetry merges to the sequential run"
+      `Quick test_pool_telemetry_parity;
+    Alcotest.test_case "journal resume ships no duplicate telemetry" `Quick
+      test_telemetry_journal_resume_no_double_count ]

@@ -313,6 +313,20 @@ let qcheck_props =
   List.map QCheck_alcotest.to_alcotest
     [ prop_agrees_with_brute_force; prop_assumption_consistency ]
 
+(* A pool job's stop token is polled every 64 conflicts: a cancelled
+   token unwinds an unbudgeted search with [Stop.Stopped] (never an
+   [Unknown], which would read as a budget verdict), the solver stays
+   usable, and outside the token nothing stops. *)
+let test_stop_token_unwinds () =
+  let s = pigeonhole 7 6 in
+  let cancelled = Stop.token (Atomic.make true) in
+  (match Stop.with_token cancelled (fun () -> Solver.solve_budgeted s) with
+  | _ -> Alcotest.fail "a cancelled token must stop the search"
+  | exception Stop.Stopped -> ());
+  check_bool "stopped at the 64th conflict" true (Solver.nconflicts s = 64);
+  check_bool "the caller's token is inert again" false (Stop.stopped ());
+  check_res "usable after the stop" false (is_sat (Solver.solve s))
+
 let suite =
   [ Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
     Alcotest.test_case "trivial unsat" `Quick test_trivial_unsat;
@@ -617,4 +631,6 @@ let suite =
       Alcotest.test_case "interleaved incremental sessions" `Quick
         test_interleaved_sessions;
       Alcotest.test_case "dimacs offset load" `Quick test_dimacs_offset_load;
-      QCheck_alcotest.to_alcotest prop_intake_order_keeps_search ]
+      QCheck_alcotest.to_alcotest prop_intake_order_keeps_search;
+      Alcotest.test_case "a cancelled stop token unwinds the search" `Quick
+        test_stop_token_unwinds ]

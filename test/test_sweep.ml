@@ -119,6 +119,23 @@ let test_fraig_reduces_duplicated_logic () =
   check_bool "miter is constant false" true (sub diff = Aig.false_);
   check_bool "graph shrank" true (Aig.num_ands g' < before)
 
+(* The sweep polls its stop token before each candidate pair, so a
+   cancelled pool job stops mid-sweep even when no local query reaches
+   the solver's 64-conflict poll. *)
+let test_fraig_stops () =
+  let g = Aig.create () in
+  let a = Word.inputs g 8 and b = Word.inputs g 8 in
+  ignore (Word.add g a b);
+  ignore (Word.lognot (Word.sub g (Word.lognot a) b));
+  let cancelled = Dfv_sat.Stop.token (Atomic.make true) in
+  let solves = Dfv_obs.Metrics.counter "sat.solves" in
+  let before = Dfv_obs.Metrics.counter_value solves in
+  (match Dfv_sat.Stop.with_token cancelled (fun () -> Sweep.fraig g) with
+  | _ -> Alcotest.fail "a cancelled token must stop the sweep"
+  | exception Dfv_sat.Stop.Stopped -> ());
+  check_int "stopped before its first pairwise query" before
+    (Dfv_obs.Metrics.counter_value solves)
+
 let suite =
   [ Alcotest.test_case "fraig preserves function" `Quick
       test_fraig_preserves_function;
@@ -129,4 +146,6 @@ let suite =
     Alcotest.test_case "fraig keeps inequivalent apart" `Quick
       test_fraig_keeps_inequivalent_apart;
     Alcotest.test_case "fraig reduces duplicated logic" `Quick
-      test_fraig_reduces_duplicated_logic ]
+      test_fraig_reduces_duplicated_logic;
+    Alcotest.test_case "fraig stops at a cancelled token" `Quick
+      test_fraig_stops ]
