@@ -128,6 +128,39 @@ let node_input g n =
 
 let num_nodes g = g.n
 
+(* --- exact keys -------------------------------------------------------- *)
+
+(* Unsigned LEB128: seven bits a byte, high bit set on all but the last. *)
+let rec add_uint b n =
+  if n < 0x80 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_uint b (n lsr 7)
+  end
+
+(* An input is written as 0 and its number.  An AND of [a >= b] at node
+   [id] is written as [2 * id - a] and [a - b], both at least 1 and
+   mostly one byte, since fanins sit close below their node. *)
+let key g groups =
+  let b = Buffer.create (4 * g.n) in
+  add_uint b g.n;
+  for id = 1 to g.n - 1 do
+    match g.nodes.(id) with
+    | Const -> ()
+    | Input k ->
+      add_uint b 0;
+      add_uint b k
+    | And (a, c) ->
+      add_uint b ((2 * id) - a);
+      add_uint b (a - c)
+  done;
+  List.iter
+    (fun lits ->
+      add_uint b (Array.length lits);
+      Array.iter (add_uint b) lits)
+    groups;
+  Buffer.contents b
+
 (* --- Tseitin conversion ---------------------------------------------- *)
 
 module S = Dfv_sat.Solver

@@ -77,6 +77,15 @@ val num_nodes : t -> int
 (** Total nodes including the constant and inputs; node indices are
     [0 .. num_nodes - 1] in topological order. *)
 
+val key : t -> lit array list -> string
+(** [key g groups] is the exact bytes of [g] — every node, in id order
+    — followed by each group of literals, its length first.  Two calls
+    return equal strings exactly when the graphs have the same nodes in
+    the same order and the groups hold the same literals; input names
+    are left out.  The SEC query memo keys on it, so anything that
+    reads the whole graph (SAT sweeping) sees equal inputs under equal
+    keys. *)
+
 (** {1 SAT bridge} *)
 
 type cnf_map

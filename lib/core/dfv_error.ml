@@ -14,7 +14,6 @@ type t =
   | Elaboration_failure of string
   | Spec_violation of string
   | Model_runtime_fault of string
-  | Worker_crashed of { job : string; detail : string }
   | Worker_timeout of { job : string; seconds : float }
   | Interrupted of { job : string }
   | Internal of string
@@ -43,8 +42,6 @@ let to_string = function
   | Elaboration_failure m -> "elaboration failure: " ^ m
   | Spec_violation m -> "spec violation: " ^ m
   | Model_runtime_fault m -> "model runtime fault: " ^ m
-  | Worker_crashed { job; detail } ->
-    Printf.sprintf "worker crashed on %s: %s" job detail
   | Worker_timeout { job; seconds } ->
     Printf.sprintf "worker timed out on %s after %.1fs" job seconds
   | Interrupted { job } ->
@@ -58,7 +55,7 @@ let exit_code = function
   | Worker_timeout _ ->
     2
   | Protocol_violation _ | Elaboration_failure _ | Spec_violation _
-  | Model_runtime_fault _ | Worker_crashed _ | Internal _ ->
+  | Model_runtime_fault _ | Internal _ ->
     3
   | Interrupted _ -> 4
 
@@ -142,8 +139,6 @@ let to_json e =
   | Elaboration_failure m -> obj "elaboration_failure" [ ("detail", str m) ]
   | Spec_violation m -> obj "spec_violation" [ ("detail", str m) ]
   | Model_runtime_fault m -> obj "model_runtime_fault" [ ("detail", str m) ]
-  | Worker_crashed { job; detail } ->
-    obj "worker_crashed" [ ("job", str job); ("detail", str detail) ]
   | Worker_timeout { job; seconds } ->
     obj "worker_timeout" [ ("job", str job); ("seconds", Json.Float seconds) ]
   | Interrupted { job } -> obj "interrupted" [ ("job", str job) ]
@@ -202,10 +197,6 @@ let of_json v =
   | "model_runtime_fault" ->
     let* m = str "detail" in
     Ok (Model_runtime_fault m)
-  | "worker_crashed" ->
-    let* job = str "job" in
-    let* detail = str "detail" in
-    Ok (Worker_crashed { job; detail })
   | "worker_timeout" ->
     let* job = str "job" in
     let* seconds = num "seconds" in

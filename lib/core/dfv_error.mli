@@ -41,8 +41,6 @@ type t =
   | Spec_violation of string  (** the transaction spec is ill-formed *)
   | Model_runtime_fault of string
       (** the SLM faulted while executing (e.g. division by zero) *)
-  | Worker_crashed of { job : string; detail : string }
-      (** a pool job ended without an outcome (see {!Dfv_par.Pool}) *)
   | Worker_timeout of { job : string; seconds : float }
       (** a pool job passed its per-job wall-clock budget and stopped at
           its next poll ({!Dfv_sat.Stop}) — the parallel analogue of a
@@ -60,7 +58,7 @@ val exit_code : t -> int
 (** CLI exit code for this error under the documented convention:
     2 for "could not decide" failures (budget-like: stimulus exhaustion,
     watchdog trips, incomplete transactions, worker timeouts), 3 for
-    structural/internal errors (including worker crashes), 4 for
+    structural/internal errors, 4 for
     "interrupted, resumable". *)
 
 val to_json : t -> Dfv_obs.Json.t

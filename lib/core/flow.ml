@@ -231,9 +231,9 @@ let simulate ?(seed = 0) ?(max_rounds = 4) ?engine ~vectors (pair : Pair.t) =
     "flow.simulate" (fun () ->
       match Dfv_error.guard body with Ok r -> r | Error e -> Error e)
 
-let sec ?budget ?session (pair : Pair.t) =
-  Checker.check_slm_rtl ?budget ?session ~slm:pair.Pair.slm ~rtl:pair.Pair.rtl
-    ~spec:pair.Pair.spec ()
+let sec ?budget ?session ?memo (pair : Pair.t) =
+  Checker.check_slm_rtl ?budget ?session ?memo ~slm:pair.Pair.slm
+    ~rtl:pair.Pair.rtl ~spec:pair.Pair.spec ()
 
 type verify_outcome =
   | Proved of Checker.stats

@@ -55,11 +55,14 @@ val simulate :
 val sec :
   ?budget:Dfv_sat.Solver.budget ->
   ?session:Dfv_sec.Session.t ->
+  ?memo:Dfv_sec.Checker.memo ->
   Pair.t ->
   Dfv_sec.Checker.verdict
 (** One SEC query on the pair.  [budget] bounds the SAT effort (the
     verdict is [Unknown] when it runs out); [session] shares one solving
-    substrate across several queries (see {!Dfv_sec.Session}). *)
+    substrate across several queries (see {!Dfv_sec.Session}); [memo]
+    answers a query already decided through it (see
+    {!Dfv_sec.Checker.check_slm_rtl}). *)
 
 type verify_outcome =
   | Proved of Dfv_sec.Checker.stats

@@ -236,6 +236,11 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
         Unknown { reason = shed_prefix ^ "campaign deadline exceeded"; seconds = 0.0 };
     }
   in
+  (* Many mutants pose the same SEC query as an earlier one (a site
+     outside every checked cone, an init the transaction loads over).
+     One memo per campaign, shared by its workers, decides each distinct
+     query once; the rest of the flow still runs on the mutant itself. *)
+  let memo = Checker.memo () in
   let run_one (i, m) =
     Dfv_obs.Trace.with_span ~cat:"fault"
       ~args:[ ("mutant", Dfv_obs.Json.String (mutant_name m)) ]
@@ -278,7 +283,7 @@ let run ?budget ?(sim_vectors = 400) ?(seed = 0) ?engine ?(jobs = 1)
                 { pair with Pair.slm = f.Fault.sf_apply pair.Pair.slm }
               | Custom_mutant _ -> assert false
             in
-            match Flow.sec ?budget pair' with
+            match Flow.sec ?budget ~memo pair' with
             | Checker.Not_equivalent (cex, _) ->
               let localized =
                 match m with

@@ -21,7 +21,19 @@
     run resumes from the last recorded verdict.  Verdicts are
     independent of [jobs]: mutants are enumerated on the caller and
     each mutant's simulation seed is a pure function of the campaign
-    seed and its index ({!Dfv_par.Pool.job_seed}). *)
+    seed and its index ({!Dfv_par.Pool.job_seed}).
+
+    Each campaign holds one {!Dfv_sec.Checker.memo}, shared by its
+    workers: a mutant whose SEC query is byte for byte an earlier
+    mutant's (the whole AIG, the miter, constraint and parameter
+    literals, the budget) takes that answer without encoding or
+    solving, and the rest of its flow — the counterexample's
+    re-simulation and localization, or the cross-check simulation —
+    still runs on the mutant itself.  Each distinct query is decided
+    exactly once, so verdicts and merged counts ([sat.solves],
+    [sec.memo_hits]) are the same at any [jobs].  A budget with
+    [max_seconds] (and the second half of a [deadline_at] window)
+    bypasses the memo. *)
 
 type subject =
   | Sec_pair of Dfv_core.Pair.t

@@ -38,14 +38,7 @@ let map_outcomes ?(label = string_of_int) outcomes =
   |> List.mapi (fun i o ->
          match o with
          | Some o -> o
-         | None ->
-           if stop_requested () then
-             Error (Dfv_error.Interrupted { job = label i })
-           else
-             (* Unreachable without cancellation, but total. *)
-             Error
-               (Dfv_error.Worker_crashed
-                  { job = label i; detail = "job never completed" }))
+         | None -> Error (Dfv_error.Interrupted { job = label i }))
 
 (* Merge one job's telemetry into the process sinks.  Merge failures are
    observable (pool.telemetry.errors) but never fail the job — a

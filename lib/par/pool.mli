@@ -47,6 +47,6 @@ type 'r outcome = ('r, Dfv_core.Dfv_error.t) result
 val map_outcomes :
   ?label:(int -> string) -> 'r outcome option array -> 'r outcome list
 (** A map's result: the outcomes in input order, each job left [None]
-    reported as [Error (Interrupted _)] when {!request_stop} has fired
-    (and as [Worker_crashed] otherwise, which a map without
-    cancellation never produces). *)
+    reported as [Error (Interrupted _)].  A job is left [None] when it
+    stopped at a poll before its deadline, or never started; a map
+    cancels nothing, so that takes {!request_stop}. *)

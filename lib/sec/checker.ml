@@ -182,6 +182,110 @@ let decide_miter ~sweep ~budget session param_shapes violated cstrs =
       (outcome, params, sn2))
   | outcome, params -> (outcome, params, session)
 
+(* --- the query memo ----------------------------------------------------
+
+   On a private session under a budget with no time bound,
+   [decide_miter] is a pure function of the whole session graph, the
+   literals it encodes and decodes, the budget and the sweep flag: the
+   solver starts empty and the sweep is deterministic.  [query_key] is
+   exactly those bytes, so an answer stored under a key is the answer a
+   fresh solve of that key would give.  The whole graph, not the
+   miter's cone, because the sweep walks every node and seeds its
+   simulation with their count. *)
+let query_key ~sweep ~budget g param_shapes violated cstrs =
+  let words =
+    List.concat_map
+      (fun (_, shape) ->
+        match shape with
+        | Elab.Word w -> [ w ]
+        | Elab.Bank b -> Array.to_list b)
+      param_shapes
+  in
+  let shape (name, s) =
+    match s with
+    | Elab.Word _ -> name
+    | Elab.Bank b -> Printf.sprintf "%s[%d]" name (Array.length b)
+  in
+  String.concat "|"
+    [ string_of_bool sweep;
+      Solver.budget_key (Some budget);
+      String.concat "," (List.map shape param_shapes);
+      Aig.key g (Array.of_list cstrs :: [| violated |] :: words) ]
+
+type answer = Solver.outcome * (string * Interp.value) list option
+
+(* A key maps to [None] while its claimer decides it. *)
+type memo = {
+  lock : Mutex.t;
+  landed : Condition.t;
+  answers : (string, answer option) Hashtbl.t;
+}
+
+let memo () =
+  {
+    lock = Mutex.create ();
+    landed = Condition.create ();
+    answers = Hashtbl.create 64;
+  }
+
+let m_memo_hits = Dfv_obs.Metrics.counter "sec.memo_hits"
+
+(* Every reader gets its own arrays: a job may keep, and mutate, the
+   parameter values it was handed. *)
+let fresh_params =
+  Option.map
+    (List.map (fun (name, v) ->
+         match v with
+         | Interp.Varr a -> (name, Interp.Varr (Array.copy a))
+         | Interp.Vint _ -> (name, v)))
+
+(* Decide [key] once per memo.  The first caller claims it; a caller
+   that meets a claim blocks until the answer lands, polling its stop
+   token whenever it wakes.  A claimer that raises (stopped, out of
+   stack, anything) withdraws its claim and wakes the waiters, and the
+   first of them to run claims the key under its own token.  A hit
+   reports the caller's [session], which solved nothing. *)
+let memoized memo key ~session decide =
+  let rec claim () =
+    let found =
+      Mutex.protect memo.lock (fun () ->
+          match Hashtbl.find_opt memo.answers key with
+          | Some None ->
+            Condition.wait memo.landed memo.lock;
+            `Woken
+          | Some (Some answer) -> `Hit answer
+          | None ->
+            Hashtbl.replace memo.answers key None;
+            `Claimed)
+    in
+    match found with
+    | `Woken ->
+      Dfv_sat.Stop.poll ();
+      claim ()
+    | (`Hit _ | `Claimed) as r -> r
+  in
+  let settle answer =
+    Mutex.protect memo.lock (fun () ->
+        (match answer with
+        | Some a -> Hashtbl.replace memo.answers key (Some a)
+        | None -> Hashtbl.remove memo.answers key);
+        Condition.broadcast memo.landed)
+  in
+  match claim () with
+  | `Hit (outcome, params) ->
+    Dfv_obs.Metrics.incr m_memo_hits;
+    Dfv_obs.Trace.instant ~cat:"sec" "sec.memo_hit";
+    (outcome, fresh_params params, session)
+  | `Claimed ->
+    let landed = ref false in
+    Fun.protect
+      ~finally:(fun () -> if not !landed then settle None)
+      (fun () ->
+        let ((outcome, params, _) as decided) = decide () in
+        settle (Some (outcome, fresh_params params));
+        landed := true;
+        decided)
+
 (* Rebuild a full counterexample from the SLM argument assignment alone:
    re-run the SLM interpreter for the expected result and re-simulate
    the RTL on the concrete stimulus for the actual diverging values.
@@ -207,11 +311,12 @@ let cex_of_params ~slm ~rtl ~spec params =
   validated (Spec.validate ~slm ~rtl spec);
   rebuild_cex ~slm ~rtl ~spec params
 
-let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
-    () =
+let check_slm_rtl ?(sweep = true) ?budget ?session ?memo ~slm ~rtl
+    ~(spec : Spec.t) () =
   let t0 = now () in
   Typecheck.check slm;
   validated (Spec.validate ~slm ~rtl spec);
+  let private_session = session = None in
   let session = get_session budget session in
   let budget = effective_budget budget session in
   let g = Session.graph session in
@@ -235,8 +340,16 @@ let check_slm_rtl ?(sweep = true) ?budget ?session ~slm ~rtl ~(spec : Spec.t)
          spec.checks)
   in
   let cstrs = constraint_words slm ~g param_shapes spec.constraints in
-  let outcome, params, dsession =
+  let decide () =
     decide_miter ~sweep ~budget session param_shapes violated cstrs
+  in
+  let outcome, params, dsession =
+    match memo with
+    | Some memo when private_session && budget.Solver.max_seconds = None ->
+      memoized memo ~session
+        (query_key ~sweep ~budget g param_shapes violated cstrs)
+        decide
+    | Some _ | None -> decide ()
   in
   match (outcome, params) with
   | Solver.Unsat, _ -> Equivalent (stats_of dsession t0)
@@ -459,9 +572,9 @@ let prove_rtl_rtl ?budget ~a ~b ~k () =
    shows up as one "sec.*" span enclosing its per-frame [Session.check]
    spans. *)
 
-let check_slm_rtl ?sweep ?budget ?session ~slm ~rtl ~spec () =
+let check_slm_rtl ?sweep ?budget ?session ?memo ~slm ~rtl ~spec () =
   Dfv_obs.Trace.with_span ~cat:"sec" "sec.check_slm_rtl" (fun () ->
-      check_slm_rtl ?sweep ?budget ?session ~slm ~rtl ~spec ())
+      check_slm_rtl ?sweep ?budget ?session ?memo ~slm ~rtl ~spec ())
 
 let check_slm_slm ?budget ?session ~a ~b ?constraints () =
   Dfv_obs.Trace.with_span ~cat:"sec" "sec.check_slm_slm" (fun () ->

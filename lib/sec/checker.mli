@@ -80,10 +80,20 @@ val cex_of_params :
     bitvectors and the reader reconstructs the rest here.  Raises
     {!Spec_error} when {!Spec.validate} rejects [spec]. *)
 
+type memo
+(** A query memo: each distinct SEC query decided once, its answer
+    shared by every later {!check_slm_rtl} call that poses the same
+    query.  A fault campaign holds one, shared by its worker domains;
+    it is safe to use from several domains at once. *)
+
+val memo : unit -> memo
+(** An empty memo. *)
+
 val check_slm_rtl :
   ?sweep:bool ->
   ?budget:Dfv_sat.Solver.budget ->
   ?session:Session.t ->
+  ?memo:memo ->
   slm:Dfv_hwir.Ast.program ->
   rtl:Dfv_rtl.Netlist.elaborated ->
   spec:Spec.t ->
@@ -104,7 +114,28 @@ val check_slm_rtl :
     [session] shares the solving substrate with other calls (per-block
     checks of one design reuse its encoding); the default is a private
     one.  [budget] bounds each SAT query, defaulting to the session's
-    budget; when it runs out the verdict is {!Unknown}. *)
+    budget; when it runs out the verdict is {!Unknown}.
+
+    [memo] decides each distinct query once.  It applies only on a
+    private session under a budget without [max_seconds]; then the
+    search is a pure function of its input, and the memo's key is
+    exactly that input: every node of the session graph in id order
+    (the sweep reads them all), the constraint and miter literals in
+    encoding order, the parameter words the counterexample is decoded
+    from, the budget ({!Dfv_sat.Solver.budget_key}) and [sweep].  Keys
+    match byte for byte, so a hit answers what a fresh solve would
+    have: the outcome and, for a counterexample, the decoded
+    parameters (fresh values per call).  The counterexample's
+    [slm_result] and [failed_checks] are still rebuilt on this call's
+    [slm] and [rtl].  A hit solves nothing: it adds one to the
+    [sec.memo_hits] counter and records a [sec.memo_hit] instant inside
+    this call's [sec.check_slm_rtl] span, its stats show no query, and
+    [sat.*] and [sec.queries] count only real solves.  Each key is
+    decided exactly once per memo, whatever the number of domains:
+    the first caller claims it and later callers block until the
+    answer lands, polling their {!Dfv_sat.Stop} token when woken.  A
+    claimer that raises ({!Dfv_sat.Stop.Stopped} included) withdraws
+    its claim, and a waiter decides the key instead. *)
 
 val check_slm_slm :
   ?budget:Dfv_sat.Solver.budget ->

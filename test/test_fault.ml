@@ -426,11 +426,212 @@ let test_campaign_resume_on_domains () =
 let test_stack_overflow_contained_on_domains () =
   check_stack_overflow_contained ~jobs:2 "domains"
 
+(* --- the campaign's SEC query memo ------------------------------------- *)
+
+module Checker = Dfv_sec.Checker
+module Metrics = Dfv_obs.Metrics
+module Stop = Dfv_sat.Stop
+module Dfv_error = Dfv_core.Dfv_error
+
+(* The pairs [dfv faultsim] builds for these subjects. *)
+let sec_pair = function
+  | "gcd" ->
+    let t = Dfv_designs.Gcd.make ~width:4 in
+    Dfv_core.Pair.create ~name:"gcd" ~slm:t.Dfv_designs.Gcd.slm
+      ~rtl:t.Dfv_designs.Gcd.rtl ~spec:t.Dfv_designs.Gcd.spec
+  | "chain.brightness" ->
+    let module C = Dfv_designs.Image_chain in
+    let t = C.make () in
+    Dfv_core.Pair.create ~name:"chain.brightness"
+      ~slm:(C.block_slm t C.Brightness) ~rtl:(C.block_rtl t C.Brightness)
+      ~spec:(C.block_spec C.Brightness)
+  | name -> Alcotest.failf "no pair named %s" name
+
+let counter name = Metrics.counter_value (Metrics.counter name)
+
+let conflicts n =
+  { Dfv_sat.Solver.max_conflicts = Some n; max_seconds = None }
+
+(* All a campaign reads of a verdict: its kind and, for a
+   counterexample, the parameters and the failing checks. *)
+let verdict_view = function
+  | Ok (Checker.Equivalent _) -> "equivalent"
+  | Ok (Checker.Unknown (r, _)) -> "unknown: " ^ Dfv_sat.Solver.reason_string r
+  | Ok (Checker.Not_equivalent (cex, _)) ->
+    let value = function
+      | Dfv_hwir.Interp.Vint bv -> Dfv_bitvec.Bitvec.to_string bv
+      | Dfv_hwir.Interp.Varr a ->
+        String.concat ","
+          (Array.to_list (Array.map Dfv_bitvec.Bitvec.to_string a))
+    in
+    String.concat " "
+      ("counterexample"
+       :: List.map (fun (n, v) -> n ^ "=" ^ value v) cex.Checker.params
+      @ List.map
+          (fun ((c : Dfv_sec.Spec.check), got) ->
+            Printf.sprintf "%s@%d:%s" c.Dfv_sec.Spec.rtl_port
+              c.Dfv_sec.Spec.at_cycle
+              (Dfv_bitvec.Bitvec.to_string got))
+          cex.Checker.failed_checks)
+  | Error e -> "error: " ^ Dfv_error.to_string e
+
+let sec ?budget ?session ?memo pair =
+  verdict_view
+    (Dfv_error.guard (fun () -> Dfv_core.Flow.sec ?budget ?session ?memo pair))
+
+(* Every mutant of two subjects at two seeds, through one memo per
+   campaign: each answer equals a fresh solve's, hits included. *)
+let test_memo_answers_as_fresh () =
+  let budget = conflicts 20_000 in
+  let hits = counter "sec.memo_hits" in
+  List.iter
+    (fun name ->
+      let pair = sec_pair name in
+      List.iter
+        (fun seed ->
+          let memo = Checker.memo () in
+          let mutants =
+            List.map
+              (fun f ->
+                ( f.Fault.rf_name,
+                  { pair with
+                    Dfv_core.Pair.rtl = f.Fault.rf_apply pair.Dfv_core.Pair.rtl
+                  } ))
+              (Fault.enumerate_rtl ~seed ~max_faults:16 pair.Dfv_core.Pair.rtl)
+            @ List.map
+                (fun f ->
+                  ( f.Fault.sf_name,
+                    { pair with
+                      Dfv_core.Pair.slm =
+                        f.Fault.sf_apply pair.Dfv_core.Pair.slm
+                    } ))
+                (Fault.enumerate_slm ~seed ~max_faults:8 pair.Dfv_core.Pair.slm)
+          in
+          List.iter
+            (fun (mutant, p) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s seed %d %s" name seed mutant)
+                (sec ~budget p) (sec ~budget ~memo p))
+            mutants)
+        [ 0; 1 ])
+    [ "gcd"; "chain.brightness" ];
+  check_bool "some mutants repeated a query" true
+    (counter "sec.memo_hits" > hits)
+
+let test_memo_hit_solves_nothing () =
+  let pair = sec_pair "gcd" in
+  let memo = Checker.memo () in
+  let solves = counter "sat.solves" and hits = counter "sec.memo_hits" in
+  let first = sec ~memo pair in
+  Alcotest.(check string) "decided" "equivalent" first;
+  let solves' = counter "sat.solves" and queries = counter "sec.queries" in
+  check_bool "the first call solves" true (solves' > solves);
+  check_int "and is no hit" hits (counter "sec.memo_hits");
+  Dfv_obs.Trace.enable ();
+  let second = sec ~memo pair in
+  let events = Dfv_obs.Trace.events () in
+  Dfv_obs.Trace.disable ();
+  Alcotest.(check string) "the repeat answers the same" first second;
+  check_int "the repeat adds no sat.solves" solves' (counter "sat.solves");
+  check_int "nor sec.queries" queries (counter "sec.queries");
+  check_int "it adds one sec.memo_hits" (hits + 1) (counter "sec.memo_hits");
+  check_bool "the hit is marked inside its check span" true
+    (List.exists
+       (fun (n, ts, _, _) ->
+         n = "sec.memo_hit"
+         && List.exists
+              (fun (m, t0, dur, _) ->
+                m = "sec.check_slm_rtl" && t0 <= ts && ts <= t0 +. dur)
+              events)
+       events)
+
+(* Each call below would hit an earlier one's entry if the memo ignored
+   the budget, a time bound or a caller session. *)
+let test_memo_keys_on_budget_and_session () =
+  let pair = sec_pair "gcd" in
+  let memo = Checker.memo () in
+  let hits = counter "sec.memo_hits" in
+  Alcotest.(check string) "one conflict decides nothing"
+    "unknown: conflict budget exhausted"
+    (sec ~budget:(conflicts 1) ~memo pair);
+  Alcotest.(check string) "a larger budget is another query" "equivalent"
+    (sec ~budget:(conflicts 200_000) ~memo pair);
+  let timed =
+    { Dfv_sat.Solver.max_conflicts = Some 200_000; max_seconds = Some 600. }
+  in
+  for _ = 1 to 2 do
+    Alcotest.(check string) "a time bound bypasses the memo" "equivalent"
+      (sec ~budget:timed ~memo pair);
+    Alcotest.(check string) "so does a caller session" "equivalent"
+      (sec ~session:(Dfv_sec.Session.create ()) ~memo pair)
+  done;
+  check_int "no call hit" hits (counter "sec.memo_hits");
+  Alcotest.(check string) "the same budget again" "equivalent"
+    (sec ~budget:(conflicts 200_000) ~memo pair);
+  check_int "hits" (hits + 1) (counter "sec.memo_hits")
+
+(* gcd's query takes 269 conflicts, so a cancelled token stops its
+   claimer at the solver's first poll (the 64th). *)
+let test_memo_stopped_claimer_leaves_no_entry () =
+  let pair = sec_pair "gcd" in
+  let memo = Checker.memo () in
+  let cancelled = Stop.token (Atomic.make true) in
+  (match Stop.with_token cancelled (fun () -> Dfv_core.Flow.sec ~memo pair) with
+  | _ -> Alcotest.fail "a cancelled claimer must stop"
+  | exception Stop.Stopped -> ());
+  let solves = counter "sat.solves" and hits = counter "sec.memo_hits" in
+  Alcotest.(check string) "the next caller decides" "equivalent"
+    (sec ~memo pair);
+  check_bool "by solving" true (counter "sat.solves" > solves);
+  check_int "not by a hit" hits (counter "sec.memo_hits");
+  Alcotest.(check string) "then it is stored" "equivalent" (sec ~memo pair);
+  check_int "and hit" (hits + 1) (counter "sec.memo_hits")
+
+(* Two workers on one query decide it once, whoever claims it; a job
+   stopped while it holds or awaits the claim leaves the key to the
+   other.  The counts hold for any interleaving, and at one worker. *)
+let test_memo_shared_by_workers () =
+  let pair = sec_pair "gcd" in
+  let solves = counter "sat.solves" in
+  ignore (sec pair);
+  let one_query = counter "sat.solves" - solves in
+  let memo = Checker.memo () in
+  let solves = counter "sat.solves" and hits = counter "sec.memo_hits" in
+  let views =
+    Dfv_par.Dpool.map ~jobs:2 (fun () -> sec ~memo pair) [ (); (); (); () ]
+  in
+  check_bool "every worker answers the same" true
+    (List.for_all (fun v -> v = Ok "equivalent") views);
+  check_int "the query is solved once" one_query (counter "sat.solves" - solves);
+  check_int "three hits" (hits + 3) (counter "sec.memo_hits");
+  let memo = Checker.memo () in
+  let cancelled = Stop.token (Atomic.make true) in
+  let views =
+    Dfv_par.Dpool.map ~jobs:2
+      (fun stop ->
+        if stop then begin
+          ignore
+            (Stop.with_token cancelled (fun () -> Dfv_core.Flow.sec ~memo pair));
+          (* Reached only on a hit, which answers without polling. *)
+          raise Stop.Stopped
+        end;
+        sec ~memo pair)
+      [ true; false ]
+  in
+  (match views with
+  | [ Error (Dfv_error.Interrupted _); Ok "equivalent" ] -> ()
+  | _ -> Alcotest.fail "the stopped job is interrupted, the other decides");
+  let hits = counter "sec.memo_hits" in
+  Alcotest.(check string) "the answer is stored" "equivalent" (sec ~memo pair);
+  check_int "and hit" (hits + 1) (counter "sec.memo_hits")
+
 let domains_suite =
   [ Alcotest.test_case "domains campaign journal resume is byte-identical"
       `Quick test_campaign_resume_on_domains;
     Alcotest.test_case "stack overflow is Crashed on domains" `Quick
-      test_stack_overflow_contained_on_domains ]
+      test_stack_overflow_contained_on_domains;
+    Alcotest.test_case "workers share the query memo" `Quick
+      test_memo_shared_by_workers ]
 
 let suite =
   [ Alcotest.test_case "enumerate rtl faults" `Quick test_enumerate_rtl;
@@ -450,4 +651,12 @@ let suite =
     Alcotest.test_case "kill-mid-campaign resume is byte-identical" `Quick
       test_campaign_resume_byte_identical;
     Alcotest.test_case "deadline sheds to Unknown, never silently" `Quick
-      test_campaign_deadline_sheds ]
+      test_campaign_deadline_sheds;
+    Alcotest.test_case "memo answers every mutant as a fresh solve" `Quick
+      test_memo_answers_as_fresh;
+    Alcotest.test_case "memo hit solves nothing and counts one" `Quick
+      test_memo_hit_solves_nothing;
+    Alcotest.test_case "memo keys on budget, time bound, session" `Quick
+      test_memo_keys_on_budget_and_session;
+    Alcotest.test_case "memo: a stopped claimer leaves no entry" `Quick
+      test_memo_stopped_claimer_leaves_no_entry ]

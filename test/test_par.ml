@@ -479,10 +479,11 @@ let telemetry_work x =
   Trace.with_span ~cat:"t" "par.work" (fun () -> ());
   x * 2
 
-(* A campaign's merged telemetry at [jobs] workers: its metrics without
-   timing fields and without the counters that describe the pool's shape
-   (how many payloads were shipped, how many jobs were stolen), its
-   coverage, and its count of mutant spans. *)
+(* Two campaigns' merged telemetry at [jobs] workers: their metrics
+   without timing fields and without the counters that describe the
+   pool's shape (how many payloads were shipped, how many jobs were
+   stolen), their coverage, their count of mutant spans, and their
+   query memo hits. *)
 let campaign_telemetry jobs =
   let pool_shape = [ "pool.telemetry.shipped"; "pool.domains.steals" ] in
   let strip_shape = function
@@ -508,6 +509,10 @@ let campaign_telemetry jobs =
     (Dfv_fault.Campaign.run ~seed:0 ~jobs ~max_rtl_faults:4 ~max_slm_faults:2
        (Dfv_fault.Campaign.Sec_pair
           (Dfv_core.Pair.create ~name:"alu" ~slm ~rtl ~spec)));
+  (* gcd's mutants repeat each other's SEC queries, so the campaign's
+     query memo answers some of them, whichever worker meets them. *)
+  ignore (Dfv_fault.Suite.run ~seed:0 ~jobs ~designs:[ "gcd" ] ());
+  let hits = Metrics.counter_value (Metrics.counter "sec.memo_hits") in
   let m = strip_shape (Metrics.strip_timing (Metrics.snapshot ())) in
   let c = Coverage.snapshot () in
   let spans =
@@ -516,14 +521,15 @@ let campaign_telemetry jobs =
   in
   Trace.disable ();
   Coverage.disable ();
-  (Json.to_string m, Json.to_string c, spans)
+  (Json.to_string m, Json.to_string c, spans, hits)
 
 (* A sharded campaign's merged telemetry equals the sequential run's byte
    for byte once timing and the pool's own shape are projected away.
    The sequential run goes first, so it fixes the registries' order. *)
 let test_pool_telemetry_parity () =
-  let m1, c1, spans1 = campaign_telemetry 1 in
-  let m2, c2, spans2 = campaign_telemetry 2 in
+  let m1, c1, spans1, hits = campaign_telemetry 1 in
+  let m2, c2, spans2, _ = campaign_telemetry 2 in
+  Alcotest.(check bool) "the query memo answered" true (hits > 0);
   Alcotest.(check string) "merged metrics snapshots byte-identical" m1 m2;
   Alcotest.(check string) "merged coverage snapshots byte-identical" c1 c2;
   Alcotest.(check int) "every mutant span merged" spans1 spans2;
